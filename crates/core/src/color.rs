@@ -16,8 +16,24 @@
 //! (`pc=3`) is colored RED. The sixth is the last event in the buffer,
 //! so its fate is not yet decidable ("presence of more instructions
 //! afterwards") — it stays pending until more of the stream arrives.
+//!
+//! # Incremental elision
+//!
+//! [`PairElision`] re-analyses a whole buffer snapshot; online that is
+//! O(window) per arriving event. [`ElisionWindow`] keeps the same
+//! answer in O(1) per event, because pairing is local: a `start` at
+//! position `i` pairs exactly when `i + 1` is a `done` of the same pc,
+//! whatever came before. A pc's color is therefore fixed by its latest
+//! *setting* event — an elided pair (uncolored), a pair ending the
+//! window (GREEN), or an unpaired start with later events (RED) — plus
+//! whether an unpaired `done` follows a RED. Pushing one event (and
+//! evicting the oldest) can change only three pcs: the pushed event's,
+//! the evicted event's, and that of the previous last event, whose
+//! "last" or "more after" status flips. Removing the last event (an
+//! offline step back) likewise touches only its own pc and that of the
+//! new last event.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 use stetho_profiler::{EventStatus, TraceEvent};
@@ -60,11 +76,38 @@ pub struct ColorChange {
     pub state: ColorState,
 }
 
+/// How one pc's analysed state moved across an [`ElisionWindow`] edit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Transition {
+    /// The plan node.
+    pub pc: usize,
+    /// State before the edit; `None` when the window did not mention
+    /// the pc.
+    pub before: Option<ColorState>,
+    /// State after the edit; `None` when the window no longer mentions
+    /// the pc.
+    pub after: Option<ColorState>,
+}
+
+impl Transition {
+    /// The repaint this transition needs under [`PairElision::diff`]'s
+    /// rule that an unmentioned pc counts as [`ColorState::Uncolored`];
+    /// `None` when the fill does not change.
+    pub fn repaint(&self) -> Option<ColorChange> {
+        let after = self.after.unwrap_or(ColorState::Uncolored);
+        (self.before.unwrap_or(ColorState::Uncolored) != after).then_some(ColorChange {
+            pc: self.pc,
+            state: after,
+        })
+    }
+}
+
 /// The §4.2.1 pair-elision algorithm over a (sampled) event buffer.
 ///
 /// Stateless with respect to the stream: it is re-run over the current
 /// [`stetho_profiler::SampleBuffer`] snapshot each round, exactly like
-/// the original which analyses "the buffer content".
+/// the original which analyses "the buffer content". Sessions use the
+/// incremental [`ElisionWindow`]; this stays as its reference oracle.
 #[derive(Debug, Clone, Default)]
 pub struct PairElision;
 
@@ -131,7 +174,7 @@ impl PairElision {
     /// filtered out, so a previously-RED node whose pair completes and
     /// elides (or slides out of the sample window) keeps its stale
     /// fill. Sessions that track per-round state should use
-    /// [`Self::diff`] instead.
+    /// [`Self::diff`] or an [`ElisionWindow`] instead.
     pub fn changes(&self, buffer: &[TraceEvent]) -> Vec<ColorChange> {
         let mut v: Vec<ColorChange> = self
             .analyse(buffer)
@@ -160,22 +203,310 @@ impl PairElision {
         buffer: &[TraceEvent],
         prev: &HashMap<usize, ColorState>,
     ) -> Vec<ColorChange> {
-        let analysed = self.analyse(buffer);
-        let mut v: Vec<ColorChange> = analysed
-            .iter()
-            .filter(|(pc, state)| prev.get(pc).copied().unwrap_or(ColorState::Uncolored) != **state)
-            .map(|(&pc, &state)| ColorChange { pc, state })
-            .collect();
-        for (&pc, &state) in prev {
-            if state != ColorState::Uncolored && !analysed.contains_key(&pc) {
-                v.push(ColorChange {
-                    pc,
-                    state: ColorState::Uncolored,
-                });
+        diff_states(&self.analyse(buffer), prev)
+    }
+}
+
+/// The repaints that take a canvas painted as `prev` to `analysed`
+/// (see [`PairElision::diff`]), ordered by pc.
+fn diff_states(
+    analysed: &HashMap<usize, ColorState>,
+    prev: &HashMap<usize, ColorState>,
+) -> Vec<ColorChange> {
+    let mut v: Vec<ColorChange> = analysed
+        .iter()
+        .filter(|(pc, state)| prev.get(pc).copied().unwrap_or(ColorState::Uncolored) != **state)
+        .map(|(&pc, &state)| ColorChange { pc, state })
+        .collect();
+    for (&pc, &state) in prev {
+        if state != ColorState::Uncolored && !analysed.contains_key(&pc) {
+            v.push(ColorChange {
+                pc,
+                state: ColorState::Uncolored,
+            });
+        }
+    }
+    v.sort_by_key(|c| c.pc);
+    v
+}
+
+/// One pc's events in an [`ElisionWindow`], reduced to what its color
+/// depends on.
+#[derive(Debug, Clone, Default)]
+struct PcTokens {
+    /// Events of this pc in the window.
+    events: usize,
+    /// Positions of the pc's setting events, oldest first, with the
+    /// state each sets: an elided pair (uncolored), a pair that ends
+    /// the window (GREEN), an unpaired start with later events (RED).
+    /// A pair sits at its start's position.
+    sets: VecDeque<(u64, ColorState)>,
+    /// Positions of the pc's unpaired `done`s, oldest first.
+    dones: VecDeque<u64>,
+}
+
+impl PcTokens {
+    /// The color [`PairElision::analyse`] gives this pc: the latest
+    /// setting event wins, except that a later unpaired `done` turns a
+    /// RED GREEN; with no setting event the pc is mentioned but
+    /// uncolored.
+    fn state(&self) -> ColorState {
+        match self.sets.back() {
+            None => ColorState::Uncolored,
+            Some(&(at, ColorState::Red)) if self.dones.back().is_some_and(|&d| d > at) => {
+                ColorState::Green
+            }
+            Some(&(_, state)) => state,
+        }
+    }
+}
+
+/// A bounded sample window that keeps the §4.2.1 pair-elision colors of
+/// its content up to date in O(1) per event pushed, evicted or stepped
+/// back (see the module docs for why three pcs at most can change).
+///
+/// At every point [`ElisionWindow::states`] equals
+/// [`PairElision::analyse`] over the window's events, and the
+/// transitions an edit returns are exactly the pcs whose analysed state
+/// it changed. The window stores `(pc, status)` pairs only, and counts
+/// the events it evicts like [`stetho_profiler::SampleBuffer`] does.
+#[derive(Debug, Clone)]
+pub struct ElisionWindow {
+    events: VecDeque<(usize, EventStatus)>,
+    /// Stream position of `events[0]`.
+    base: u64,
+    capacity: usize,
+    evicted: u64,
+    pcs: HashMap<usize, PcTokens>,
+    /// `(pc, state before the edit)` for every pc the current edit has
+    /// touched, in touch order.
+    journal: Vec<(usize, Option<ColorState>)>,
+}
+
+impl ElisionWindow {
+    /// A window holding at most `capacity` events, evicting the oldest.
+    /// Capacity 0 is clamped to 1, as in the sample buffer.
+    pub fn new(capacity: usize) -> Self {
+        ElisionWindow {
+            events: VecDeque::new(),
+            base: 0,
+            capacity: capacity.max(1),
+            evicted: 0,
+            pcs: HashMap::new(),
+            journal: Vec::new(),
+        }
+    }
+
+    /// A window that never evicts (offline replay over a whole prefix).
+    pub fn unbounded() -> Self {
+        Self::new(usize::MAX)
+    }
+
+    /// Number of events in the window.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// True when the window holds no events.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Events evicted so far — the sampling loss.
+    pub fn evicted(&self) -> u64 {
+        self.evicted
+    }
+
+    /// The analysed state of `pc`, or `None` when no event of it is in
+    /// the window.
+    pub fn state(&self, pc: usize) -> Option<ColorState> {
+        self.pcs.get(&pc).map(PcTokens::state)
+    }
+
+    /// Every pc's analysed state — equal to [`PairElision::analyse`]
+    /// over the window's events.
+    pub fn states(&self) -> HashMap<usize, ColorState> {
+        self.pcs.iter().map(|(&pc, t)| (pc, t.state())).collect()
+    }
+
+    /// Full diff of the window against a canvas painted as `prev`, with
+    /// [`PairElision::diff`]'s result. O(window + prev): meant for the
+    /// first round after a scene appears, when the canvas is not yet in
+    /// step with the window.
+    pub fn diff(&self, prev: &HashMap<usize, ColorState>) -> Vec<ColorChange> {
+        diff_states(&self.states(), prev)
+    }
+
+    /// Append one event, evicting the oldest when full. Returns the pcs
+    /// whose state changed, ordered by pc.
+    pub fn push(&mut self, pc: usize, status: EventStatus) -> Vec<Transition> {
+        self.append(pc, status);
+        if self.events.len() > self.capacity {
+            self.evict_front();
+        }
+        self.take_transitions()
+    }
+
+    /// For an unbounded window that holds `trace[..self.len()]`: move it
+    /// to hold `trace[..target]` by pushing or popping the difference.
+    /// Returns the net transitions of the whole move, ordered by pc.
+    pub fn replay_to(&mut self, trace: &[TraceEvent], target: usize) -> Vec<Transition> {
+        let target = target.min(trace.len());
+        while self.events.len() > target {
+            self.remove_back();
+        }
+        for e in &trace[self.events.len()..target] {
+            self.append(e.pc, e.status);
+        }
+        self.take_transitions()
+    }
+
+    fn at(&self, pos: u64) -> Option<(usize, EventStatus)> {
+        let i = usize::try_from(pos.checked_sub(self.base)?).ok()?;
+        self.events.get(i).copied()
+    }
+
+    /// Is the event at `pos` a `done` paired with the start just before
+    /// it?
+    fn paired_done(&self, pos: u64) -> bool {
+        match (self.at(pos), pos.checked_sub(1).and_then(|p| self.at(p))) {
+            (Some((pc, EventStatus::Done)), Some((prev, EventStatus::Start))) => pc == prev,
+            _ => false,
+        }
+    }
+
+    fn note(&mut self, pc: usize) {
+        let before = self.state(pc);
+        self.journal.push((pc, before));
+    }
+
+    fn tokens(&mut self, pc: usize) -> &mut PcTokens {
+        self.pcs.entry(pc).or_default()
+    }
+
+    fn append(&mut self, pc: usize, status: EventStatus) {
+        let at = self.base + self.events.len() as u64;
+        self.note(pc);
+        let mut consumed = false;
+        if let Some(&(last_pc, last_status)) = self.events.back() {
+            self.note(last_pc);
+            match last_status {
+                // The start that ended the window either pairs with this
+                // done (a pair ending the window) or now has later
+                // events without its done (RED).
+                EventStatus::Start => {
+                    consumed = status == EventStatus::Done && pc == last_pc;
+                    let state = if consumed {
+                        ColorState::Green
+                    } else {
+                        ColorState::Red
+                    };
+                    self.tokens(last_pc).sets.push_back((at - 1, state));
+                }
+                // The pair that ended the window has more after it now:
+                // elided.
+                EventStatus::Done if self.paired_done(at - 1) => {
+                    if let Some(set) = self.tokens(last_pc).sets.back_mut() {
+                        set.1 = ColorState::Uncolored;
+                    }
+                }
+                EventStatus::Done => {}
             }
         }
-        v.sort_by_key(|c| c.pc);
-        v
+        let t = self.tokens(pc);
+        t.events += 1;
+        if status == EventStatus::Done && !consumed {
+            t.dones.push_back(at);
+        }
+        self.events.push_back((pc, status));
+    }
+
+    fn evict_front(&mut self) {
+        let Some(&(pc, _)) = self.events.front() else {
+            return;
+        };
+        let at = self.base;
+        self.note(pc);
+        let t = self.tokens(pc);
+        // The oldest event is its pc's oldest too, so any token it
+        // carries sits at the front of that pc's lists. When it was a
+        // pair's start, its done now stands alone at the front, before
+        // every setting event, where it cannot change the color.
+        if t.sets.front().is_some_and(|&(p, _)| p == at) {
+            t.sets.pop_front();
+        }
+        if t.dones.front() == Some(&at) {
+            t.dones.pop_front();
+        }
+        t.events -= 1;
+        if t.events == 0 {
+            self.pcs.remove(&pc);
+        }
+        self.events.pop_front();
+        self.base += 1;
+        self.evicted += 1;
+    }
+
+    fn remove_back(&mut self) {
+        let Some(&(pc, status)) = self.events.back() else {
+            return;
+        };
+        let at = self.base + self.events.len() as u64 - 1;
+        self.note(pc);
+        let paired = self.paired_done(at);
+        let t = self.tokens(pc);
+        if paired {
+            // The pair loses its done; its start ends the window again,
+            // undecided.
+            t.sets.pop_back();
+        } else if status == EventStatus::Done {
+            t.dones.pop_back();
+        }
+        t.events -= 1;
+        if t.events == 0 {
+            self.pcs.remove(&pc);
+        }
+        self.events.pop_back();
+        if paired {
+            return;
+        }
+        // The previous event now ends the window.
+        let Some(&(last_pc, last_status)) = self.events.back() else {
+            return;
+        };
+        self.note(last_pc);
+        match last_status {
+            // An unpaired start is undecided again.
+            EventStatus::Start => {
+                self.tokens(last_pc).sets.pop_back();
+            }
+            // An elided pair becomes a pair ending the window.
+            EventStatus::Done if self.paired_done(at - 1) => {
+                if let Some(set) = self.tokens(last_pc).sets.back_mut() {
+                    set.1 = ColorState::Green;
+                }
+            }
+            EventStatus::Done => {}
+        }
+    }
+
+    /// Close the current edit: every touched pc whose state differs
+    /// from the one noted before its first touch, ordered by pc.
+    fn take_transitions(&mut self) -> Vec<Transition> {
+        let mut journal = std::mem::take(&mut self.journal);
+        // Stable sort + dedup keeps each pc's earliest note.
+        journal.sort_by_key(|&(pc, _)| pc);
+        journal.dedup_by_key(|&mut (pc, _)| pc);
+        let out = journal
+            .iter()
+            .filter_map(|&(pc, before)| {
+                let after = self.state(pc);
+                (before != after).then_some(Transition { pc, before, after })
+            })
+            .collect();
+        journal.clear();
+        self.journal = journal;
+        out
     }
 }
 

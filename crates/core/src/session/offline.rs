@@ -9,7 +9,6 @@
 //! laid out, written to SVG, and the SVG parsed back into the in-memory
 //! scene graph the viewer navigates (§4: dot → svg → graph structure).
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,9 +18,9 @@ use stetho_layout::{layout, parse_svg, write_svg, LayoutOptions, SceneGraph};
 use stetho_profiler::{FilterOptions, TraceEvent, TraceFile};
 use stetho_zvtm::overview::{birdseye, duration_colors, trace_strip};
 use stetho_zvtm::render::{render, render_svg_frame, Framebuffer, RenderOptions};
-use stetho_zvtm::{Camera, Color, EventDispatchThread, VirtualSpace};
+use stetho_zvtm::{Camera, EventDispatchThread, VirtualSpace};
 
-use crate::color::ColorState;
+use crate::color::{ColorState, ElisionWindow};
 use crate::inspect::{tooltip, ToolTip};
 use crate::mapping::TraceDotMap;
 use crate::metrics::SessionMetrics;
@@ -49,7 +48,9 @@ pub struct OfflineSession {
     /// Self-observability registry, when attached via
     /// [`OfflineSession::with_metrics`].
     pub metrics: Option<Arc<stetho_obsv::Registry>>,
-    last_states: HashMap<usize, ColorState>,
+    /// Pair-elision colors of the replayed prefix; it follows
+    /// `replay`'s cursor on every sync.
+    window: ElisionWindow,
     instruments: Option<SessionMetrics>,
 }
 
@@ -115,7 +116,7 @@ impl OfflineSession {
             edt: EventDispatchThread::paper_default(),
             now_ms: 0,
             metrics: None,
-            last_states: HashMap::new(),
+            window: ElisionWindow::unbounded(),
             instruments: None,
         })
     }
@@ -163,31 +164,20 @@ impl OfflineSession {
         }
     }
 
-    /// Recompute pair-elision colors over the applied prefix and queue
-    /// changed nodes on the EDT.
+    /// Move the pair-elision window to the replay cursor and queue the
+    /// nodes whose color moved on the EDT, in pc order. Every analysed
+    /// change repaints, an uncolored one too; nodes that drop out of the
+    /// prefix revert to the default fill.
     fn sync_colors(&mut self) {
         let round_started = Instant::now();
-        let states = self.replay.current_colors();
-        for (&pc, &state) in &states {
-            if self.last_states.get(&pc) != Some(&state) {
-                if let Some(glyph) = self.map.shape_of_pc(pc) {
-                    self.edt.enqueue(glyph, state.fill(), self.now_ms);
-                }
-                self.last_states.insert(pc, state);
+        let moved = self
+            .window
+            .replay_to(self.replay.events(), self.replay.position());
+        for t in moved {
+            if let Some(glyph) = self.map.shape_of_pc(t.pc) {
+                let fill = t.after.unwrap_or(ColorState::Uncolored).fill();
+                self.edt.enqueue(glyph, fill, self.now_ms);
             }
-        }
-        // Nodes that dropped out of the window revert to default.
-        let stale: Vec<usize> = self
-            .last_states
-            .keys()
-            .filter(|pc| !states.contains_key(pc))
-            .copied()
-            .collect();
-        for pc in stale {
-            if let Some(glyph) = self.map.shape_of_pc(pc) {
-                self.edt.enqueue(glyph, Color::DEFAULT_FILL, self.now_ms);
-            }
-            self.last_states.remove(&pc);
         }
         if let Some(m) = &self.instruments {
             m.record_round(
@@ -200,10 +190,7 @@ impl OfflineSession {
 
     /// Current color state of a node.
     pub fn node_state(&self, pc: usize) -> ColorState {
-        self.last_states
-            .get(&pc)
-            .copied()
-            .unwrap_or(ColorState::Uncolored)
+        self.window.state(pc).unwrap_or(ColorState::Uncolored)
     }
 
     /// Tool-tip for a node (§3 feature 3).

@@ -41,14 +41,14 @@ use stetho_profiler::chaos::{ChaosConfig, ChaosLink, ChaosReport};
 use stetho_profiler::reassembly::{TransportStats, DEFAULT_REORDER_WINDOW};
 use stetho_profiler::tracefile::TraceWriter;
 use stetho_profiler::udp::{StreamItem, StreamRecvError};
-use stetho_profiler::{
-    FilterOptions, ProfilerEmitter, SampleBuffer, TextualStethoscope, TraceEvent,
-};
+use stetho_profiler::{FilterOptions, ProfilerEmitter, TextualStethoscope, TraceEvent};
 use stetho_sql::{compile_with, CompileOptions};
 use stetho_zvtm::edt::EdtStats;
 use stetho_zvtm::{EventDispatchThread, VirtualSpace};
 
-use crate::color::{ColorState, PairElision, ThresholdColoring};
+use crate::color::{
+    ColorChange, ColorState, ElisionWindow, PairElision, ThresholdColoring, Transition,
+};
 use crate::mapping::TraceDotMap;
 use crate::metrics::SessionMetrics;
 use crate::progress::{InstrState, ProgressModel, ProgressSnapshot};
@@ -173,11 +173,14 @@ struct Monitor<'a> {
     map: TraceDotMap,
     trace_writer: TraceWriter,
     events: Vec<TraceEvent>,
-    sample: SampleBuffer,
+    /// The §4.2 sample buffer, kept with its pair-elision colors.
+    window: ElisionWindow,
+    /// True once a round has painted the canvas; until then it shows
+    /// nothing, whatever the window says.
+    painted: bool,
     edt: EventDispatchThread,
     threshold: Option<ThresholdColoring>,
     progress: ProgressModel,
-    last_states: HashMap<usize, ColorState>,
     saw_eot: bool,
     lost_gaps: Vec<(u64, u64)>,
     garbled_lines: u64,
@@ -211,21 +214,24 @@ impl Monitor<'_> {
     /// locally compiled dot when the received copy was damaged in
     /// transit (missing lines, lost begin/end framing).
     fn adopt_dot(&mut self, received: String) -> Result<(), SessionError> {
-        let usable = match stetho_dot::parse_dot(&received) {
-            Ok(graph) => graph.nodes().len() == self.plan.len(),
-            Err(_) => false,
-        };
-        let text = if usable {
+        let usable = stetho_dot::parse_dot(&received)
+            .ok()
+            .filter(|graph| graph.nodes().len() == self.plan.len());
+        self.dot_degraded |= usable.is_none();
+        let text = if usable.is_some() {
             received
         } else {
-            self.dot_degraded = true;
             self.local_dot.to_string()
         };
         // "It filters the dot file content, generates a new dot file,
         // and stores the content in it."
         std::fs::write(&self.cfg.dot_path, &text)?;
-        let graph =
-            stetho_dot::parse_dot(&text).map_err(|e| SessionError::new(format!("dot: {e}")))?;
+        let graph = match usable {
+            Some(graph) => graph,
+            None => {
+                stetho_dot::parse_dot(&text).map_err(|e| SessionError::new(format!("dot: {e}")))?
+            }
+        };
         let laid = layout(&graph, &LayoutOptions::default());
         let svg = write_svg(&laid);
         let sc = parse_svg(&svg).map_err(|e| SessionError::new(format!("svg: {e}")))?;
@@ -243,29 +249,29 @@ impl Monitor<'_> {
             self.trace_writer.write_event(&event)?;
         }
         self.progress.on_event(&event);
-        self.sample.push(event.clone());
         if let Some(t) = self.threshold.as_mut() {
             t.on_event(&event);
             t.on_tick(event.clk);
         }
-        self.events.push(event);
-        // Run-time analysis over the sample buffer (§4.2.1), diffed
-        // against the previous round so nodes whose pair completed and
-        // elided — or slid out of the bounded window — repaint back to
-        // the default fill instead of keeping a stale RED.
+        // Run-time analysis over the sample buffer (§4.2.1). Each round
+        // repaints the nodes whose color moved — including reverts to
+        // the default fill when a pair completed and elided, or slid
+        // out of the bounded window — so no stale RED survives.
         let round_started = Instant::now();
-        let snapshot = self.sample.snapshot();
-        let changes = PairElision.diff(&snapshot, &self.last_states);
+        let moved = self.window.push(event.pc, event.status);
+        self.events.push(event);
         let now_ms = self.started.elapsed().as_millis() as u64;
         if let Some(sp) = self.space.as_mut() {
+            let changes: Vec<ColorChange> = if self.painted {
+                moved.iter().filter_map(Transition::repaint).collect()
+            } else {
+                // First round on a fresh canvas: paint the whole window.
+                self.painted = true;
+                self.window.diff(&HashMap::new())
+            };
             for c in changes {
                 if let Some(g) = self.map.shape_of_pc(c.pc) {
                     self.edt.enqueue(g, c.state.fill(), now_ms);
-                }
-                if c.state == ColorState::Uncolored {
-                    self.last_states.remove(&c.pc);
-                } else {
-                    self.last_states.insert(c.pc, c.state);
                 }
             }
             self.edt.advance_into(now_ms, sp);
@@ -276,7 +282,7 @@ impl Monitor<'_> {
                 self.cfg.pacing_ms,
             );
             m.edt_queue_depth.set(self.edt.backlog() as f64);
-            m.samples_dropped.set(self.sample.lifetime_dropped());
+            m.samples_dropped.set(self.window.evicted());
             m.set_progress(&self.progress.snapshot());
         }
         Ok(())
@@ -401,11 +407,11 @@ impl OnlineSession {
             map: TraceDotMap::default(),
             trace_writer: TraceWriter::create(&cfg.trace_path).map_err(SessionError::from)?,
             events: Vec::new(),
-            sample: SampleBuffer::new(cfg.sample_capacity),
+            window: ElisionWindow::new(cfg.sample_capacity),
+            painted: false,
             edt: EventDispatchThread::new(cfg.pacing_ms),
             threshold: cfg.threshold_usec.map(ThresholdColoring::new),
             progress: ProgressModel::new(&plan),
-            last_states: HashMap::new(),
             saw_eot: false,
             lost_gaps: Vec::new(),
             garbled_lines: 0,
@@ -481,7 +487,7 @@ impl OnlineSession {
             lost_gaps,
             garbled_lines,
             dot_degraded,
-            sample,
+            window,
             ..
         } = mon;
         let mut space = space.ok_or_else(|| SessionError::new("no dot file available"))?;
@@ -519,7 +525,7 @@ impl OnlineSession {
             final_states,
             threshold_states,
             edt_stats: edt.stats,
-            samples_dropped: sample.dropped(),
+            samples_dropped: window.evicted(),
             result_rows,
             progress: progress.snapshot(),
             elapsed: started.elapsed(),
