@@ -1,9 +1,13 @@
 //! Experiment D6 — online end-to-end: the complete §4.2 workflow (UDP
 //! textual Stethoscope, query thread, stream monitor, sampling, coloring)
 //! measured wall-to-wall, with the EDT pacing on and off.
+//!
+//! Every `online/end_to_end/*` and `online/query/*` row is written to the
+//! benchmark ledger with the host's CPU count.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, take_reports, BenchmarkId, Criterion};
 use stetho_bench::catalog;
+use stetho_bench::ledger::{int, ledger_path, num, text, Ledger};
 use stetho_core::{OnlineConfig, OnlineSession};
 use stetho_tpch::queries;
 
@@ -61,4 +65,33 @@ criterion_group! {
     config = Criterion::default();
     targets = bench_online, bench_online_queries
 }
-criterion_main!(benches);
+
+fn main() {
+    benches();
+    let path = ledger_path();
+    let mut ledger = Ledger::load(&path);
+    // Recorded per row: the file-wide context describes the host the
+    // engine rows came from, which need not be this one.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for report in take_reports() {
+        let Some(scenario) = report.name.strip_prefix("online/") else {
+            continue;
+        };
+        ledger.put(
+            &report.name,
+            vec![
+                ("bench".to_string(), text("online_session")),
+                ("scenario".to_string(), text(scenario)),
+                ("host_cpus".to_string(), int(cpus as i64)),
+                ("mean_ns".to_string(), num(report.mean_ns)),
+                ("mean_ms".to_string(), num(report.mean_ns / 1e6)),
+            ],
+        );
+    }
+    ledger.save(&path).expect("ledger writes");
+    eprintln!(
+        "[ledger] wrote {} entries to {}",
+        ledger.len(),
+        path.display()
+    );
+}

@@ -25,9 +25,10 @@
 //! * [`metrics`] — self-observability: the sessions publish analyse
 //!   latency, pacing adherence, EDT backlog, sampling loss, progress
 //!   gauges, and transport health into a [`stetho_obsv::Registry`];
-//! * [`session`] — the offline and online workflows of §4, including the
-//!   full dot → svg → in-memory-graph pipeline and the multi-threaded
-//!   online mode over real UDP.
+//! * [`session`] — the offline and online workflows of §4: both lay the
+//!   dot graph out straight into the scene graph through one shared
+//!   plan-to-canvas step, and the multi-threaded online mode runs over
+//!   real UDP until end-of-trace.
 
 pub mod analysis;
 pub mod color;

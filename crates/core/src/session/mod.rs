@@ -4,6 +4,9 @@
 //! share some fundamental steps, such as dot file parsing, conversion to
 //! an in memory graph representation, and sequential reading of a trace
 //! file."
+//!
+//! Both sessions build their canvas with one function, straight from the
+//! layout engine's scene; SVG stays the export path.
 
 pub mod multi;
 pub mod offline;
@@ -11,6 +14,29 @@ pub mod online;
 pub mod snapshot;
 
 use std::fmt;
+
+use stetho_dot::Graph;
+use stetho_layout::{layout, LayoutOptions, SceneGraph};
+use stetho_zvtm::VirtualSpace;
+
+use crate::mapping::TraceDotMap;
+
+/// A laid-out plan on its glyph canvas, with the pc ↔ node ↔ glyph map.
+struct Canvas {
+    scene: SceneGraph,
+    space: VirtualSpace,
+    map: TraceDotMap,
+}
+
+/// Plan to canvas (§4): lay the dot graph out, build one shape and one
+/// text glyph per node from the scene, and wire each pc to its glyphs.
+fn plan_canvas(graph: &Graph) -> Canvas {
+    let scene = layout(graph, &LayoutOptions::default());
+    let (space, node_glyphs) = VirtualSpace::from_scene(&scene);
+    let mut map = TraceDotMap::from_scene(&scene);
+    map.attach_glyphs(&node_glyphs);
+    Canvas { scene, space, map }
+}
 
 /// Errors from building or driving a session.
 #[derive(Debug, Clone, PartialEq)]

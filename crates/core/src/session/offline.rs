@@ -5,17 +5,19 @@
 //! to graph structure creation stage is over, interactive analysis
 //! begins."
 //!
-//! Loading runs the paper's full shared pipeline: the dot text is parsed,
-//! laid out, written to SVG, and the SVG parsed back into the in-memory
-//! scene graph the viewer navigates (§4: dot → svg → graph structure).
+//! Loading parses the dot text and lays it out straight into the
+//! in-memory scene graph the viewer navigates. The paper went dot → svg
+//! → graph structure (§4) because GraphViz ran as a separate process;
+//! here the layout engine returns the scene itself, and the SVG pair
+//! stays the export path.
 
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use stetho_dot::{parse_dot, Graph};
-use stetho_layout::{layout, parse_svg, write_svg, LayoutOptions, SceneGraph};
-use stetho_profiler::{FilterOptions, TraceEvent, TraceFile};
+use stetho_layout::SceneGraph;
+use stetho_profiler::{FilterOptions, TraceEvent};
 use stetho_zvtm::overview::{birdseye, duration_colors, trace_strip};
 use stetho_zvtm::render::{render, render_svg_frame, Framebuffer, RenderOptions};
 use stetho_zvtm::{Camera, EventDispatchThread, VirtualSpace};
@@ -25,13 +27,13 @@ use crate::inspect::{tooltip, ToolTip};
 use crate::mapping::TraceDotMap;
 use crate::metrics::SessionMetrics;
 use crate::replay::ReplayController;
-use crate::session::SessionError;
+use crate::session::{plan_canvas, Canvas, SessionError};
 
 /// An interactive offline analysis session.
 pub struct OfflineSession {
     /// The parsed dot graph.
     pub graph: Graph,
-    /// The laid-out scene (product of the dot → svg → graph pipeline).
+    /// The laid-out scene, as the layout engine returned it.
     pub scene: SceneGraph,
     /// The glyph canvas.
     pub space: VirtualSpace,
@@ -87,21 +89,13 @@ impl OfflineSession {
         trace_path: impl AsRef<Path>,
     ) -> Result<Self, SessionError> {
         let dot_text = std::fs::read_to_string(dot_path)?;
-        let graph = parse_dot(&dot_text).map_err(|e| SessionError::new(format!("dot: {e}")))?;
-        let events = TraceFile::new(trace_path.as_ref()).read()?;
-        Self::from_parts(graph, events)
+        let trace_text = std::fs::read_to_string(trace_path)?;
+        Self::load_text(&dot_text, &trace_text)
     }
 
     /// Build from an already-parsed graph and event list.
     pub fn from_parts(graph: Graph, events: Vec<TraceEvent>) -> Result<Self, SessionError> {
-        // The shared pipeline: graph → layout → svg → parse → scene.
-        let laid_out = layout(&graph, &LayoutOptions::default());
-        let svg = write_svg(&laid_out);
-        let scene = parse_svg(&svg).map_err(|e| SessionError::new(format!("svg: {e}")))?;
-        let (space, node_glyphs) = VirtualSpace::from_scene(&scene);
-        let mut map = TraceDotMap::from_scene(&scene);
-        map.attach_glyphs(&node_glyphs);
-
+        let Canvas { scene, space, map } = plan_canvas(&graph);
         let mut camera = Camera::default();
         if !space.is_empty() {
             camera.fit(space.bounds(), 1280.0, 800.0, 1.05);
@@ -271,6 +265,7 @@ impl OfflineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stetho_layout::{layout, LayoutOptions};
     use stetho_profiler::format_event;
 
     fn dot_text() -> String {
@@ -317,6 +312,8 @@ mod tests {
     fn load_runs_full_pipeline() {
         let s = OfflineSession::load_text(&dot_text(), &trace_text()).unwrap();
         assert_eq!(s.scene.nodes.len(), 4);
+        // The scene is the layout engine's own output, not a re-parse.
+        assert_eq!(s.scene, layout(&s.graph, &LayoutOptions::default()));
         assert_eq!(s.map.len(), 4);
         assert_eq!(s.replay.len(), 8);
         // Space has shape+text per node plus 3 edges.

@@ -22,7 +22,10 @@
 //!   [`InstrState::Lost`] and count toward completion;
 //! * a damaged or missing dot stream falls back to the locally compiled
 //!   dot text (the session compiled the plan itself);
-//! * garbled lines are counted, not fatal.
+//! * garbled lines are counted, not fatal;
+//! * the stream ends at the first end-of-trace or, when none comes,
+//!   once the query thread is gone and a receive poll brings nothing;
+//!   no timer decides it.
 //!
 //! The resulting [`OnlineOutcome`] carries a [`TransportStats`] snapshot
 //! next to the verifier report so tools can show transport health.
@@ -35,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use stetho_dot::plan_to_dot;
 use stetho_engine::{Catalog, ExecOptions, Interpreter, ProfilerConfig, UdpSink};
-use stetho_layout::{layout, parse_svg, write_svg, LayoutOptions, SceneGraph};
+use stetho_layout::SceneGraph;
 use stetho_mal::{Plan, VerifyReport};
 use stetho_profiler::chaos::{ChaosConfig, ChaosLink, ChaosReport};
 use stetho_profiler::reassembly::{TransportStats, DEFAULT_REORDER_WINDOW};
@@ -53,7 +56,7 @@ use crate::mapping::TraceDotMap;
 use crate::metrics::SessionMetrics;
 use crate::progress::{InstrState, ProgressModel, ProgressSnapshot};
 use crate::replay::repair_lost_dones;
-use crate::session::SessionError;
+use crate::session::{plan_canvas, Canvas, SessionError};
 
 static SESSION_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -159,18 +162,16 @@ pub struct OnlineOutcome {
 }
 
 /// The per-item monitor state (the paper's "separate thread [that]
-/// monitors the received UDP stream"), shared between the live loop and
-/// the post-join grace drain.
+/// monitors the received UDP stream"), fed by the session's receive loop
+/// and settled by [`Monitor::converge`] once the stream has closed.
 struct Monitor<'a> {
     cfg: &'a OnlineConfig,
     plan: &'a Plan,
     local_dot: &'a str,
     started: Instant,
     dot_buffer: String,
-    used_dot: Option<String>,
-    scene: Option<SceneGraph>,
-    space: Option<VirtualSpace>,
-    map: TraceDotMap,
+    /// The adopted dot text and the plan's canvas built from it.
+    adopted: Option<(String, Canvas)>,
     trace_writer: TraceWriter,
     events: Vec<TraceEvent>,
     /// The §4.2 sample buffer, kept with its pair-elision colors.
@@ -218,29 +219,18 @@ impl Monitor<'_> {
             .ok()
             .filter(|graph| graph.nodes().len() == self.plan.len());
         self.dot_degraded |= usable.is_none();
-        let text = if usable.is_some() {
-            received
-        } else {
-            self.local_dot.to_string()
+        let (text, graph) = match usable {
+            Some(graph) => (received, graph),
+            None => (
+                self.local_dot.to_string(),
+                stetho_dot::parse_dot(self.local_dot)
+                    .map_err(|e| SessionError::new(format!("dot: {e}")))?,
+            ),
         };
         // "It filters the dot file content, generates a new dot file,
         // and stores the content in it."
         std::fs::write(&self.cfg.dot_path, &text)?;
-        let graph = match usable {
-            Some(graph) => graph,
-            None => {
-                stetho_dot::parse_dot(&text).map_err(|e| SessionError::new(format!("dot: {e}")))?
-            }
-        };
-        let laid = layout(&graph, &LayoutOptions::default());
-        let svg = write_svg(&laid);
-        let sc = parse_svg(&svg).map_err(|e| SessionError::new(format!("svg: {e}")))?;
-        let (sp, node_glyphs) = VirtualSpace::from_scene(&sc);
-        self.map = TraceDotMap::from_scene(&sc);
-        self.map.attach_glyphs(&node_glyphs);
-        self.scene = Some(sc);
-        self.space = Some(sp);
-        self.used_dot = Some(text);
+        self.adopted = Some((text, plan_canvas(&graph)));
         Ok(())
     }
 
@@ -261,7 +251,7 @@ impl Monitor<'_> {
         let moved = self.window.push(event.pc, event.status);
         self.events.push(event);
         let now_ms = self.started.elapsed().as_millis() as u64;
-        if let Some(sp) = self.space.as_mut() {
+        if let Some((_, canvas)) = self.adopted.as_mut() {
             let changes: Vec<ColorChange> = if self.painted {
                 moved.iter().filter_map(Transition::repaint).collect()
             } else {
@@ -270,11 +260,11 @@ impl Monitor<'_> {
                 self.window.diff(&HashMap::new())
             };
             for c in changes {
-                if let Some(g) = self.map.shape_of_pc(c.pc) {
+                if let Some(g) = canvas.map.shape_of_pc(c.pc) {
                     self.edt.enqueue(g, c.state.fill(), now_ms);
                 }
             }
-            self.edt.advance_into(now_ms, sp);
+            self.edt.advance_into(now_ms, &mut canvas.space);
         }
         if let Some(m) = &self.metrics {
             m.record_round(
@@ -401,10 +391,7 @@ impl OnlineSession {
             local_dot: &dot_text,
             started,
             dot_buffer: String::new(),
-            used_dot: None,
-            scene: None,
-            space: None,
-            map: TraceDotMap::default(),
+            adopted: None,
             trace_writer: TraceWriter::create(&cfg.trace_path).map_err(SessionError::from)?,
             events: Vec::new(),
             window: ElisionWindow::new(cfg.sample_capacity),
@@ -418,54 +405,37 @@ impl OnlineSession {
             dot_degraded: false,
             metrics: cfg.metrics.as_deref().map(SessionMetrics::new),
         };
+        // Read until the ring closes. The in-memory link closes when the
+        // emitter drops; a UDP listener is stopped at the first `eot`
+        // (reassembly is in sequence order, so every earlier frame was
+        // delivered or declared lost), or once the query thread is gone
+        // and a poll brought nothing, so no `eot` is coming.
         let deadline = Instant::now() + Duration::from_secs(120);
-
-        // Live monitoring until end-of-trace (or the stream closes —
-        // e.g. the final eot frames themselves were lost).
-        while !mon.saw_eot {
+        loop {
             if Instant::now() > deadline {
-                steth.stop();
                 return Err(SessionError::new("online session timed out"));
             }
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(item) => mon.handle(item)?,
-                Err(StreamRecvError::Timeout) => continue,
+            let sender_done = match rx.recv_timeout(Duration::from_millis(50)) {
+                Ok(item) => {
+                    mon.handle(item)?;
+                    mon.saw_eot
+                }
+                Err(StreamRecvError::Timeout) => query_thread.is_finished(),
                 Err(StreamRecvError::Closed) => break,
+            };
+            if sender_done && chaos_link.is_none() {
+                steth.stop();
             }
         }
-
-        // Join first: the emitter drops with the query thread, which
-        // flushes delayed datagrams and closes an in-memory link so the
-        // drain below sees every straggler and every gap report.
         let result_rows = query_thread
             .join()
             .map_err(|_| SessionError::new("query thread panicked"))?
             .map_err(SessionError::new)?;
-        if chaos_link.is_none() {
-            // Real UDP: give in-flight loopback datagrams a beat, then
-            // stop the listener (which flushes reassembly buffers and
-            // closes the ring).
-            std::thread::sleep(Duration::from_millis(60));
-            steth.stop();
-        }
-        // Grace drain: reordered stragglers, eot echoes, gap reports
-        // from the end-of-stream flush.
-        loop {
-            if Instant::now() > deadline {
-                break;
-            }
-            match rx.recv_timeout(Duration::from_millis(200)) {
-                Ok(item) => mon.handle(item)?,
-                Err(StreamRecvError::Timeout) => continue,
-                Err(StreamRecvError::Closed) => break,
-            }
-        }
-        steth.stop();
 
         mon.trace_writer.flush()?;
         // Dot stream never completed usably? Fall back to the local
         // compile so the session still renders.
-        if mon.space.is_none() {
+        if mon.adopted.is_none() {
             mon.dot_degraded = true;
             mon.adopt_dot(String::new())?;
         }
@@ -475,27 +445,23 @@ impl OnlineSession {
         let chaos_report = chaos_link.as_ref().map(|l| l.report());
         let session_metrics = mon.metrics.clone();
         let Monitor {
-            used_dot,
-            scene,
-            space,
-            map,
+            adopted,
             events,
             mut edt,
             threshold,
             progress,
-            saw_eot: _,
             lost_gaps,
             garbled_lines,
             dot_degraded,
             window,
             ..
         } = mon;
-        let mut space = space.ok_or_else(|| SessionError::new("no dot file available"))?;
-        let scene = scene.expect("scene set with space");
+        let (used_dot, mut canvas) =
+            adopted.ok_or_else(|| SessionError::new("no dot file available"))?;
         // Drain the EDT so the final frame shows every landed color.
         let ops = edt.flush();
         for d in &ops {
-            space.glyph_mut(d.op.glyph).color = d.op.color;
+            canvas.space.glyph_mut(d.op.glyph).color = d.op.color;
         }
         // Settle the gauges on the session's final state so a scrape
         // after the run reads the converged picture.
@@ -517,10 +483,10 @@ impl OnlineSession {
         Ok(OnlineOutcome {
             plan,
             verify,
-            dot_text: used_dot.unwrap_or(dot_text),
-            scene,
-            space,
-            map,
+            dot_text: used_dot,
+            scene: canvas.scene,
+            space: canvas.space,
+            map: canvas.map,
             events,
             final_states,
             threshold_states,

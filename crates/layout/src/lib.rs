@@ -11,8 +11,13 @@
 //!   barycenter crossing reduction, and coordinate assignment;
 //! * [`scene`] — the positioned *scene graph* the viewer navigates;
 //! * [`svg`] — an SVG writer and a parser that reads the SVG back into a
-//!   scene graph, completing the paper's (seemingly redundant but
-//!   faithfully reproduced) dot → svg → in-memory-graph round trip.
+//!   scene graph: the paper's dot → svg → in-memory-graph round trip.
+//!
+//! GraphViz ran as a separate process, so the paper had to read its
+//! layout back from the SVG. [`layout`] returns the scene graph itself,
+//! and that is what the sessions in `stetho-core` draw. The SVG pair is
+//! the export path; the `svg_scene_round_trips` property test pins that
+//! parsing the written SVG gives back the same scene, to 0.1 px.
 //!
 //! Claim 5 of the paper — "support for large query plans with graph
 //! representation of more than 1000 nodes" — is exercised against this

@@ -568,10 +568,20 @@ impl TextualStethoscope {
         StreamReceiver { ring }
     }
 
-    /// Stop the listening thread and wait for it.
+    /// Stop the listening thread and wait for it. A UDP listener first
+    /// delivers the datagrams already queued on its socket; then the
+    /// reorder buffers are flushed and the stream closes.
     pub fn stop(&mut self) {
         self.running.store(false, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
+            // Wake a listener blocked in `recv_from` with an empty
+            // datagram (decoded as nothing), so stopping does not wait
+            // out the socket's read timeout.
+            if let Inlet::Udp(socket) = &self.inlet {
+                if let Ok(addr) = socket.local_addr() {
+                    let _ = socket.send_to(&[], addr);
+                }
+            }
             let _ = h.join();
         }
     }
@@ -602,20 +612,29 @@ fn listen_udp(
 ) {
     let counters = decoder.counters();
     let mut buf = vec![0u8; 64 * 1024];
-    let mut items = Vec::new();
+    let mut receive = |source: SocketAddr, bytes: &[u8]| {
+        let mut items = Vec::new();
+        decoder.decode_bytes(source, bytes, &mut items);
+        forward(&ring, &counters, items);
+    };
     while running.load(Ordering::SeqCst) {
-        let (len, source) = match socket.recv_from(&mut buf) {
-            Ok(x) => x,
+        match socket.recv_from(&mut buf) {
+            Ok((len, source)) => receive(source, &buf[..len]),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 continue
             }
             Err(_) => break,
-        };
-        items.clear();
-        decoder.decode_bytes(source, &buf[..len], &mut items);
-        forward(&ring, &counters, std::mem::take(&mut items));
+        }
+    }
+    // Stopped: deliver what already reached the socket before flushing,
+    // so a stop never discards a datagram the sender has handed over.
+    if socket.set_nonblocking(true).is_ok() {
+        while let Ok((len, source)) = socket.recv_from(&mut buf) {
+            receive(source, &buf[..len]);
+        }
+        let _ = socket.set_nonblocking(false);
     }
     let mut items = Vec::new();
     decoder.flush_all(&mut items);
@@ -711,6 +730,29 @@ mod tests {
         assert_eq!(stats.lost, 0);
         assert_eq!(stats.garbled, 0);
         steth.stop();
+    }
+
+    #[test]
+    fn stop_delivers_datagrams_already_in_the_socket() {
+        let mut steth = TextualStethoscope::bind().unwrap();
+        let emitter = ProfilerEmitter::connect(steth.local_addr().unwrap()).unwrap();
+        for i in 0..5 {
+            emitter
+                .emit(&ev(i, i as usize, "X := algebra.select(Y);"))
+                .unwrap();
+        }
+        emitter.send_end_of_trace().unwrap();
+        // Everything waits in the socket; the listener is stopped before
+        // its loop reads any of it.
+        let rx = steth.start();
+        steth.stop();
+        let items = drain(&rx, usize::MAX);
+        let events = items
+            .iter()
+            .filter(|i| matches!(i, StreamItem::Event { .. }))
+            .count();
+        assert_eq!(events, 5, "{items:?}");
+        assert!(matches!(items.last(), Some(StreamItem::EndOfTrace { .. })));
     }
 
     #[test]

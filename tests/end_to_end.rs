@@ -6,6 +6,7 @@ use std::sync::Arc;
 use stethoscope::core::{OfflineSession, OnlineConfig, OnlineSession};
 use stethoscope::dot::{parse_dot, plan_to_dot, LabelStyle};
 use stethoscope::engine::{ExecOptions, Interpreter, ProfilerConfig, QueryResult, VecSink};
+use stethoscope::layout::{layout, LayoutOptions};
 use stethoscope::profiler::{format_event, EventStatus};
 use stethoscope::sql::{compile_with, CompileOptions};
 use stethoscope::tpch::{generate_catalog, queries, TpchConfig};
@@ -159,6 +160,15 @@ fn online_session_matches_offline_analysis() {
     for (a, b) in offline.replay.events().iter().zip(&out.events) {
         assert_eq!(a, b);
     }
+    // Both sessions draw the same scene, straight from the layout engine.
+    assert_eq!(offline.scene, out.scene);
+    assert_eq!(
+        out.scene,
+        layout(
+            &parse_dot(&out.dot_text).unwrap(),
+            &LayoutOptions::default()
+        )
+    );
     std::fs::remove_file(&cfg.dot_path).ok();
     std::fs::remove_file(&cfg.trace_path).ok();
 }

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use stethoscope::core::OfflineSession;
+use stethoscope::core::{OfflineSession, OnlineConfig, OnlineSession};
 use stethoscope::dot::{plan_to_dot, LabelStyle};
 use stethoscope::engine::{
     Bat, Catalog, ExecOptions, Interpreter, ProfilerConfig, TableDef, VecSink,
@@ -143,6 +143,26 @@ fn unnamed_dot_begin_is_garbled_not_accepted() {
         matches!(&items[0], StreamItem::DotBegin { name, .. } if name == "user.q"),
         "{items:?}"
     );
+}
+
+#[test]
+fn failed_query_ends_the_online_session_without_end_of_trace() {
+    // k is 0 on one row, so the query fails mid-plan and the emitter
+    // never sends `eot`. Over UDP nothing closes the stream, so the
+    // session must notice that the query thread is gone instead of
+    // waiting for its 120 s deadline.
+    let cfg = OnlineConfig {
+        pacing_ms: 0,
+        ..Default::default()
+    };
+    let started = std::time::Instant::now();
+    let err = OnlineSession::run(tiny_catalog(), "select v / k as r from t", &cfg)
+        .err()
+        .expect("division by zero fails the session");
+    assert!(err.msg.contains("division by zero"), "{err}");
+    assert!(started.elapsed() < std::time::Duration::from_secs(30));
+    std::fs::remove_file(&cfg.trace_path).ok();
+    std::fs::remove_file(&cfg.dot_path).ok();
 }
 
 #[test]
