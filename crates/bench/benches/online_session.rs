@@ -1,14 +1,15 @@
 //! Experiment D6 — online end-to-end: the complete §4.2 workflow (UDP
 //! textual Stethoscope, query thread, stream monitor, sampling, coloring)
-//! measured wall-to-wall, with the EDT pacing on and off.
+//! measured wall-to-wall, with the EDT pacing on and off, plus the
+//! multi-server session (§3.2) over the same intake.
 //!
-//! Every `online/end_to_end/*` and `online/query/*` row is written to the
-//! benchmark ledger with the host's CPU count.
+//! Every `online/end_to_end/*`, `online/query/*` and `multi/query/*` row
+//! is written to the benchmark ledger with the host's CPU count.
 
 use criterion::{criterion_group, take_reports, BenchmarkId, Criterion};
 use stetho_bench::catalog;
 use stetho_bench::ledger::{int, ledger_path, num, text, Ledger};
-use stetho_core::{OnlineConfig, OnlineSession};
+use stetho_core::{MultiServerSession, OnlineConfig, OnlineSession, ServerSpec};
 use stetho_tpch::queries;
 
 fn bench_online(c: &mut Criterion) {
@@ -60,10 +61,33 @@ fn bench_online_queries(c: &mut Criterion) {
     group.finish();
 }
 
+/// Two servers, FIGURE1 and Q6, streaming to one textual Stethoscope.
+fn bench_multi_server(c: &mut Criterion) {
+    let cat = catalog(0.002);
+    let server = |name: &str, sql: &str| ServerSpec {
+        name: name.into(),
+        catalog: std::sync::Arc::clone(&cat),
+        sql: sql.into(),
+        filter: None,
+    };
+    let mut group = c.benchmark_group("multi/query");
+    group.sample_size(10);
+    group.bench_function("figure1_q6", |b| {
+        b.iter(|| {
+            let specs = vec![
+                server("figure1", queries::FIGURE1),
+                server("q6", queries::Q6),
+            ];
+            MultiServerSession::run(specs).unwrap().len()
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_online, bench_online_queries
+    targets = bench_online, bench_online_queries, bench_multi_server
 }
 
 fn main() {
@@ -74,8 +98,10 @@ fn main() {
     // engine rows came from, which need not be this one.
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     for report in take_reports() {
-        let Some(scenario) = report.name.strip_prefix("online/") else {
-            continue;
+        let scenario = match report.name.split_once('/') {
+            Some(("online", rest)) => rest,
+            Some(("multi", _)) => report.name.as_str(),
+            _ => continue,
         };
         ledger.put(
             &report.name,

@@ -27,8 +27,10 @@
 //!   gauges, and transport health into a [`stetho_obsv::Registry`];
 //! * [`session`] — the offline and online workflows of §4: both lay the
 //!   dot graph out straight into the scene graph through one shared
-//!   plan-to-canvas step, and the multi-threaded online mode runs over
-//!   real UDP until end-of-trace.
+//!   plan-to-canvas step; the online and multi-server modes launch their
+//!   queries and read the stream through one intake, which ends on
+//!   end-of-trace (or on finished query threads) over UDP and the chaos
+//!   link alike.
 
 pub mod analysis;
 pub mod color;

@@ -6,8 +6,10 @@
 //! file."
 //!
 //! Both sessions build their canvas with one function, straight from the
-//! layout engine's scene; SVG stays the export path.
+//! layout engine's scene; SVG stays the export path. The online and
+//! multi-server sessions share one query launcher and receive loop.
 
+mod intake;
 pub mod multi;
 pub mod offline;
 pub mod online;

@@ -7,21 +7,22 @@
 //!
 //! [`MultiServerSession`] launches one query per "server" (each an
 //! engine instance in its own thread with its own UDP emitter), listens
-//! on a single textual Stethoscope, and demultiplexes the merged stream
-//! by source address.
+//! on a single textual Stethoscope through the online session's intake,
+//! and demultiplexes the merged stream by source address. A failed
+//! server, or one whose end-of-trace never arrived, ends the session
+//! with an error naming it.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use stetho_engine::{Catalog, ExecOptions, Interpreter, ProfilerConfig, UdpSink};
-use stetho_profiler::udp::{StreamItem, StreamRecvError};
+use stetho_engine::Catalog;
+use stetho_profiler::udp::StreamItem;
 use stetho_profiler::{FilterOptions, ProfilerEmitter, TextualStethoscope, TraceEvent};
 use stetho_sql::compile;
 
 use crate::analysis::SessionReport;
-use crate::session::SessionError;
+use crate::session::{intake, SessionError};
 
 /// One server's workload.
 #[derive(Clone)]
@@ -70,111 +71,62 @@ impl MultiServerSession {
         specs: Vec<ServerSpec>,
         metrics: Option<Arc<stetho_obsv::Registry>>,
     ) -> Result<Vec<ServerOutcome>, SessionError> {
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut steth = TextualStethoscope::bind()?;
-        if let Some(reg) = &metrics {
-            crate::metrics::bridge_transport(reg, steth.counters());
-        }
-        let addr = steth.local_addr()?;
-
-        // Launch each server: connect its emitter first (so we can
-        // register its per-server filter before any event flows), then
-        // run the query in a thread.
-        let mut handles = Vec::new();
-        let mut sources = Vec::new();
-        let mut plans = Vec::new();
+        let mut plans = Vec::with_capacity(specs.len());
         for spec in &specs {
             let compiled = compile(&spec.catalog, &spec.sql)
                 .map_err(|e| SessionError::new(format!("{}: compile: {e}", spec.name)))?;
+            plans.push(compiled.plan);
+        }
+        let mut steth = TextualStethoscope::bind()?;
+        let rx = intake::start(&mut steth, metrics.as_deref());
+        let addr = steth.local_addr()?;
+
+        // Each server's event stream, keyed by the source address the
+        // merged stream tags it with, and its per-server demux counter.
+        let mut demux = HashMap::new();
+        let mut sources = Vec::with_capacity(specs.len());
+        let mut queries = Vec::with_capacity(specs.len());
+        for (spec, plan) in specs.iter().zip(&plans) {
             let emitter = ProfilerEmitter::connect(addr)?;
             let source = emitter.local_addr()?;
+            // Register the server's filter before any of its events flow.
             if let Some(f) = &spec.filter {
                 steth.set_server_filter(source, f.clone());
             }
+            let counter = metrics.as_ref().map(|reg| {
+                reg.counter_with(
+                    "stetho_multi_events_total",
+                    "Events demultiplexed per connected server",
+                    &[("server", &spec.name)],
+                )
+            });
+            demux.insert(source, (Vec::new(), counter));
             sources.push(source);
-            plans.push(compiled.plan.clone());
-            let catalog = Arc::clone(&spec.catalog);
-            let plan = compiled.plan;
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("mserver-{}", spec.name))
-                    .spawn(move || -> Result<usize, String> {
-                        let sink = UdpSink::new(emitter);
-                        let interp = Interpreter::new(catalog);
-                        let out = interp
-                            .execute(
-                                &plan,
-                                &ExecOptions::profiled(ProfilerConfig::to_sink(sink.clone())),
-                            )
-                            .map_err(|e| e.to_string())?;
-                        sink.emitter()
-                            .send_end_of_trace()
-                            .map_err(|e| e.to_string())?;
-                        Ok(out.result.map(|r| r.rows()).unwrap_or(0))
-                    })
-                    .map_err(SessionError::from)?,
-            );
+            let (plan, catalog) = (plan.clone(), Arc::clone(&spec.catalog));
+            queries.push(intake::launch(&spec.name, plan, catalog, emitter, 0, None)?);
         }
 
-        // Per-server demux counters, keyed by the source address the
-        // merged stream tags each event with.
-        let event_counters: HashMap<SocketAddr, stetho_obsv::Counter> = match &metrics {
-            Some(reg) => sources
-                .iter()
-                .zip(&specs)
-                .map(|(&source, spec)| {
-                    let c = reg.counter_with(
-                        "stetho_multi_events_total",
-                        "Events demultiplexed per connected server",
-                        &[("server", &spec.name)],
-                    );
-                    (source, c)
-                })
-                .collect(),
-            None => HashMap::new(),
-        };
-
-        // Demultiplex the merged stream until every server sent its EOT.
-        let rx = steth.start();
-        let mut per_source: HashMap<SocketAddr, Vec<TraceEvent>> = HashMap::new();
-        let mut eots: usize = 0;
-        let deadline = Instant::now() + Duration::from_secs(120);
-        while eots < specs.len() {
-            if Instant::now() > deadline {
-                steth.stop();
-                return Err(SessionError::new("multi-server session timed out"));
-            }
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(StreamItem::Event { source, event }) => {
-                    if let Some(c) = event_counters.get(&source) {
-                        c.inc();
-                    }
-                    per_source.entry(source).or_default().push(event);
-                }
-                Ok(StreamItem::EndOfTrace { .. }) => eots += 1,
-                Ok(_) => {}
-                Err(StreamRecvError::Timeout) => continue,
-                Err(StreamRecvError::Closed) => {
-                    steth.stop();
-                    return Err(SessionError::new(
-                        "stream closed before every server reported end-of-trace",
-                    ));
+        let (rows, ended) = intake::receive(&mut steth, &rx, queries, |item| {
+            if let StreamItem::Event { source, event } = item {
+                if let Some((events, counter)) = demux.get_mut(&source) {
+                    counter.iter().for_each(|c| c.inc());
+                    events.push(event);
                 }
             }
-        }
-        steth.stop();
+            Ok(())
+        })?;
 
         let mut outcomes = Vec::with_capacity(specs.len());
-        for (((spec, source), handle), plan) in
-            specs.into_iter().zip(sources).zip(handles).zip(plans)
+        for (((spec, plan), source), result_rows) in
+            specs.into_iter().zip(plans).zip(sources).zip(rows)
         {
-            let result_rows = handle
-                .join()
-                .map_err(|_| SessionError::new(format!("{}: query thread panicked", spec.name)))?
-                .map_err(SessionError::new)?;
-            let events = per_source.remove(&source).unwrap_or_default();
+            if !ended.contains(&source) {
+                return Err(SessionError::new(format!(
+                    "{}: stream closed before end-of-trace",
+                    spec.name
+                )));
+            }
+            let events = demux.remove(&source).map(|(e, _)| e).unwrap_or_default();
             let report = SessionReport::build(&plan, &events, 3, 4);
             outcomes.push(ServerOutcome {
                 name: spec.name,

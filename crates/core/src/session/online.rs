@@ -23,9 +23,9 @@
 //! * a damaged or missing dot stream falls back to the locally compiled
 //!   dot text (the session compiled the plan itself);
 //! * garbled lines are counted, not fatal;
-//! * the stream ends at the first end-of-trace or, when none comes,
-//!   once the query thread is gone and a receive poll brings nothing;
-//!   no timer decides it.
+//! * the stream ends at the end-of-trace or, when none comes, once the
+//!   query thread is gone and a receive poll brings nothing, on UDP and
+//!   the chaos link alike (the intake shared with multi-server mode).
 //!
 //! The resulting [`OnlineOutcome`] carries a [`TransportStats`] snapshot
 //! next to the verifier report so tools can show transport health.
@@ -37,13 +37,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stetho_dot::plan_to_dot;
-use stetho_engine::{Catalog, ExecOptions, Interpreter, ProfilerConfig, UdpSink};
+use stetho_engine::Catalog;
 use stetho_layout::SceneGraph;
 use stetho_mal::{Plan, VerifyReport};
 use stetho_profiler::chaos::{ChaosConfig, ChaosLink, ChaosReport};
-use stetho_profiler::reassembly::{TransportStats, DEFAULT_REORDER_WINDOW};
+use stetho_profiler::reassembly::TransportStats;
 use stetho_profiler::tracefile::TraceWriter;
-use stetho_profiler::udp::{StreamItem, StreamRecvError};
+use stetho_profiler::udp::StreamItem;
 use stetho_profiler::{FilterOptions, ProfilerEmitter, TextualStethoscope, TraceEvent};
 use stetho_sql::{compile_with, CompileOptions};
 use stetho_zvtm::edt::EdtStats;
@@ -56,7 +56,7 @@ use crate::mapping::TraceDotMap;
 use crate::metrics::SessionMetrics;
 use crate::progress::{InstrState, ProgressModel, ProgressSnapshot};
 use crate::replay::repair_lost_dones;
-use crate::session::{plan_canvas, Canvas, SessionError};
+use crate::session::{intake, plan_canvas, Canvas, SessionError};
 
 static SESSION_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -82,8 +82,6 @@ pub struct OnlineConfig {
     /// Route the stream through a deterministic in-memory [`ChaosLink`]
     /// with this fault schedule instead of real UDP (testing).
     pub chaos: Option<ChaosConfig>,
-    /// Per-source reorder window of the receiver's reassembly stage.
-    pub reorder_window: usize,
     /// Self-observability registry. When set, the session publishes
     /// analyse latency, pacing adherence, EDT backlog, sampling loss
     /// and progress gauges into it, bridges the receiver's transport
@@ -105,7 +103,6 @@ impl Default for OnlineConfig {
             dot_path: dir.join(format!("stetho_online_{}_{id}.dot", std::process::id())),
             trace_path: dir.join(format!("stetho_online_{}_{id}.trace", std::process::id())),
             chaos: None,
-            reorder_window: DEFAULT_REORDER_WINDOW,
             metrics: None,
         }
     }
@@ -162,7 +159,7 @@ pub struct OnlineOutcome {
 }
 
 /// The per-item monitor state (the paper's "separate thread [that]
-/// monitors the received UDP stream"), fed by the session's receive loop
+/// monitors the received UDP stream"), fed by the intake's receive loop
 /// and settled by [`Monitor::converge`] once the stream has closed.
 struct Monitor<'a> {
     cfg: &'a OnlineConfig,
@@ -182,7 +179,6 @@ struct Monitor<'a> {
     edt: EventDispatchThread,
     threshold: Option<ThresholdColoring>,
     progress: ProgressModel,
-    saw_eot: bool,
     lost_gaps: Vec<(u64, u64)>,
     garbled_lines: u64,
     dot_degraded: bool,
@@ -202,7 +198,7 @@ impl Monitor<'_> {
                 self.adopt_dot(received)?;
             }
             StreamItem::Event { event, .. } => self.ingest_event(event, false)?,
-            StreamItem::EndOfTrace { .. } => self.saw_eot = true,
+            StreamItem::EndOfTrace { .. } => {}
             StreamItem::Garbled { .. } => self.garbled_lines += 1,
             StreamItem::Lost {
                 from_seq, to_seq, ..
@@ -282,8 +278,8 @@ impl Monitor<'_> {
     /// been) lost, close dangling starts with synthesized `done`s and
     /// write untraced instructions off to the gaps, so the picture
     /// settles instead of staying RED forever.
-    fn converge(&mut self) -> Result<usize, SessionError> {
-        if self.saw_eot && self.lost_gaps.is_empty() {
+    fn converge(&mut self, saw_eot: bool) -> Result<usize, SessionError> {
+        if saw_eot && self.lost_gaps.is_empty() {
             return Ok(0);
         }
         let mut repaired = self.events.clone();
@@ -332,59 +328,6 @@ impl OnlineSession {
         let verify = plan.verify();
         let dot_text = plan_to_dot(&plan, stetho_dot::LabelStyle::FullStatement);
 
-        // Textual Stethoscope thread (the listener runs inside), over
-        // real UDP or a seeded in-memory chaos link.
-        let chaos_link = cfg.chaos.map(ChaosLink::new);
-        let mut steth = match &chaos_link {
-            Some(link) => TextualStethoscope::over(link),
-            None => TextualStethoscope::bind().map_err(SessionError::from)?,
-        };
-        steth.set_reorder_window(cfg.reorder_window);
-        steth.set_default_filter(cfg.filter.clone());
-        if let Some(reg) = &cfg.metrics {
-            crate::metrics::bridge_transport(reg, steth.counters());
-        }
-        let rx = steth.start();
-        let emitter = match &chaos_link {
-            Some(link) => ProfilerEmitter::over(link),
-            None => {
-                let addr = steth.local_addr().map_err(SessionError::from)?;
-                ProfilerEmitter::connect(addr).map_err(SessionError::from)?
-            }
-        };
-
-        // Query thread: send dot first, run, then mark end of trace.
-        let plan_for_query = plan.clone();
-        let catalog_for_query = Arc::clone(&catalog);
-        let dot_for_query = dot_text.clone();
-        let workers = cfg.workers;
-        let metrics_for_query = cfg.metrics.clone();
-        let query_thread = std::thread::Builder::new()
-            .name("mserver-query".into())
-            .spawn(move || -> Result<usize, String> {
-                emitter
-                    .send_dot(&plan_for_query.name, &dot_for_query)
-                    .map_err(|e| e.to_string())?;
-                let sink = UdpSink::new(emitter);
-                let mut opts = if workers > 1 {
-                    ExecOptions::parallel(workers, ProfilerConfig::to_sink(sink.clone()))
-                } else {
-                    ExecOptions::profiled(ProfilerConfig::to_sink(sink.clone()))
-                };
-                opts.metrics = metrics_for_query;
-                let interp = Interpreter::new(catalog_for_query);
-                let out = interp
-                    .execute(&plan_for_query, &opts)
-                    .map_err(|e| e.to_string())?;
-                sink.emitter()
-                    .send_end_of_trace()
-                    .map_err(|e| e.to_string())?;
-                Ok(out.result.map(|r| r.rows()).unwrap_or(0))
-                // `sink` (and with it the emitter) drops here, flushing
-                // and closing an in-memory link.
-            })
-            .map_err(SessionError::from)?;
-
         let mut mon = Monitor {
             cfg,
             plan: &plan,
@@ -399,38 +342,34 @@ impl OnlineSession {
             edt: EventDispatchThread::new(cfg.pacing_ms),
             threshold: cfg.threshold_usec.map(ThresholdColoring::new),
             progress: ProgressModel::new(&plan),
-            saw_eot: false,
             lost_gaps: Vec::new(),
             garbled_lines: 0,
             dot_degraded: false,
             metrics: cfg.metrics.as_deref().map(SessionMetrics::new),
         };
-        // Read until the ring closes. The in-memory link closes when the
-        // emitter drops; a UDP listener is stopped at the first `eot`
-        // (reassembly is in sequence order, so every earlier frame was
-        // delivered or declared lost), or once the query thread is gone
-        // and a poll brought nothing, so no `eot` is coming.
-        let deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            if Instant::now() > deadline {
-                return Err(SessionError::new("online session timed out"));
+        // Stethoscope and server emitter, over UDP or a seeded chaos link.
+        let chaos_link = cfg.chaos.map(ChaosLink::new);
+        let (mut steth, emitter) = match &chaos_link {
+            Some(link) => (TextualStethoscope::over(link), ProfilerEmitter::over(link)),
+            None => {
+                let steth = TextualStethoscope::bind()?;
+                let emitter = ProfilerEmitter::connect(steth.local_addr()?)?;
+                (steth, emitter)
             }
-            let sender_done = match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(item) => {
-                    mon.handle(item)?;
-                    mon.saw_eot
-                }
-                Err(StreamRecvError::Timeout) => query_thread.is_finished(),
-                Err(StreamRecvError::Closed) => break,
-            };
-            if sender_done && chaos_link.is_none() {
-                steth.stop();
-            }
-        }
-        let result_rows = query_thread
-            .join()
-            .map_err(|_| SessionError::new("query thread panicked"))?
-            .map_err(SessionError::new)?;
+        };
+        steth.set_default_filter(cfg.filter.clone());
+        let rx = intake::start(&mut steth, cfg.metrics.as_deref());
+        // The server sends the dot before query execution begins.
+        emitter.send_dot(&plan.name, &dot_text)?;
+        let query = intake::launch(
+            "query",
+            plan.clone(),
+            Arc::clone(&catalog),
+            emitter,
+            cfg.workers,
+            cfg.metrics.clone(),
+        )?;
+        let (rows, ended) = intake::receive(&mut steth, &rx, vec![query], |item| mon.handle(item))?;
 
         mon.trace_writer.flush()?;
         // Dot stream never completed usably? Fall back to the local
@@ -439,10 +378,8 @@ impl OnlineSession {
             mon.dot_degraded = true;
             mon.adopt_dot(String::new())?;
         }
-        let synthesized_dones = mon.converge()?;
+        let synthesized_dones = mon.converge(!ended.is_empty())?;
 
-        let transport = steth.transport_stats();
-        let chaos_report = chaos_link.as_ref().map(|l| l.report());
         let session_metrics = mon.metrics.clone();
         let Monitor {
             adopted,
@@ -492,11 +429,11 @@ impl OnlineSession {
             threshold_states,
             edt_stats: edt.stats,
             samples_dropped: window.evicted(),
-            result_rows,
+            result_rows: rows[0],
             progress: progress.snapshot(),
             elapsed: started.elapsed(),
-            transport,
-            chaos_report,
+            transport: steth.transport_stats(),
+            chaos_report: chaos_link.as_ref().map(ChaosLink::report),
             lost_gaps,
             garbled_lines,
             synthesized_dones,

@@ -338,8 +338,8 @@ impl std::fmt::Debug for ProfilerEmitter {
 // Bounded drop-oldest ring
 // ---------------------------------------------------------------------
 
-/// Default capacity of the ring between the socket thread and the
-/// consumer; generous enough that well-paced sessions never evict.
+/// Capacity of the ring between the socket thread and the consumer;
+/// generous enough that well-paced sessions never evict.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 /// Error from [`StreamReceiver::recv_timeout`].
@@ -457,8 +457,6 @@ pub struct TextualStethoscope {
     filters: Arc<Mutex<HashMap<SocketAddr, FilterOptions>>>,
     default_filter: Arc<Mutex<FilterOptions>>,
     counters: Arc<TransportCounters>,
-    reorder_window: usize,
-    ring_capacity: usize,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -483,8 +481,6 @@ impl TextualStethoscope {
             filters: Arc::new(Mutex::new(HashMap::new())),
             default_filter: Arc::new(Mutex::new(FilterOptions::all())),
             counters: Arc::new(TransportCounters::default()),
-            reorder_window: DEFAULT_REORDER_WINDOW,
-            ring_capacity: DEFAULT_RING_CAPACITY,
             handle: None,
         }
     }
@@ -498,18 +494,6 @@ impl TextualStethoscope {
                 "in-memory stethoscope has no socket address",
             )),
         }
-    }
-
-    /// Set the per-source reorder window (frames buffered before a gap
-    /// is declared). Takes effect at [`TextualStethoscope::start`].
-    pub fn set_reorder_window(&mut self, window: usize) {
-        self.reorder_window = window.max(1);
-    }
-
-    /// Set the bounded ring capacity between the socket thread and the
-    /// consumer. Takes effect at [`TextualStethoscope::start`].
-    pub fn set_ring_capacity(&mut self, capacity: usize) {
-        self.ring_capacity = capacity.max(1);
     }
 
     /// Set the filter applied to servers without a per-server override.
@@ -537,11 +521,11 @@ impl TextualStethoscope {
     /// Start the listening thread; returns the stream of items. Call at
     /// most once.
     pub fn start(&mut self) -> StreamReceiver {
-        let ring = Ring::new(self.ring_capacity);
+        let ring = Ring::new(DEFAULT_RING_CAPACITY);
         self.running.store(true, Ordering::SeqCst);
         let running = Arc::clone(&self.running);
         let decoder = StreamDecoder::with_shared(
-            self.reorder_window,
+            DEFAULT_REORDER_WINDOW,
             Arc::clone(&self.filters),
             Arc::clone(&self.default_filter),
             Arc::clone(&self.counters),
@@ -568,8 +552,8 @@ impl TextualStethoscope {
         StreamReceiver { ring }
     }
 
-    /// Stop the listening thread and wait for it. A UDP listener first
-    /// delivers the datagrams already queued on its socket; then the
+    /// Stop the listening thread and wait for it. The listener first
+    /// delivers what is already queued on its socket or link; then the
     /// reorder buffers are flushed and the stream closes.
     pub fn stop(&mut self) {
         self.running.store(false, Ordering::SeqCst);
@@ -649,17 +633,22 @@ fn listen_mem(
     ring: Arc<Ring>,
 ) {
     let counters = decoder.counters();
-    let mut items = Vec::new();
+    let mut receive = |source: SocketAddr, bytes: &[u8]| {
+        let mut items = Vec::new();
+        decoder.decode_bytes(source, bytes, &mut items);
+        forward(&ring, &counters, items);
+    };
     while running.load(Ordering::SeqCst) {
         match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok((source, bytes)) => {
-                items.clear();
-                decoder.decode_bytes(source, &bytes, &mut items);
-                forward(&ring, &counters, std::mem::take(&mut items));
-            }
+            Ok((source, bytes)) => receive(source, &bytes),
             Err(ChaosRecvError::Timeout) => continue,
             Err(ChaosRecvError::Closed) => break,
         }
+    }
+    // Stopped: deliver what is already queued on the link before
+    // flushing, as the UDP listener does with its socket.
+    while let Ok((source, bytes)) = rx.recv_timeout(Duration::ZERO) {
+        receive(source, &bytes);
     }
     let mut items = Vec::new();
     decoder.flush_all(&mut items);
@@ -743,6 +732,31 @@ mod tests {
         }
         emitter.send_end_of_trace().unwrap();
         // Everything waits in the socket; the listener is stopped before
+        // its loop reads any of it.
+        let rx = steth.start();
+        steth.stop();
+        let items = drain(&rx, usize::MAX);
+        let events = items
+            .iter()
+            .filter(|i| matches!(i, StreamItem::Event { .. }))
+            .count();
+        assert_eq!(events, 5, "{items:?}");
+        assert!(matches!(items.last(), Some(StreamItem::EndOfTrace { .. })));
+    }
+
+    #[test]
+    fn stop_delivers_frames_already_on_the_link() {
+        let link = ChaosLink::new(ChaosConfig::clean(3));
+        let mut steth = TextualStethoscope::over(&link);
+        let emitter = ProfilerEmitter::over(&link);
+        for i in 0..5 {
+            emitter
+                .emit(&ev(i, i as usize, "X := algebra.select(Y);"))
+                .unwrap();
+        }
+        emitter.send_end_of_trace().unwrap();
+        drop(emitter);
+        // Everything waits on the link; the listener is stopped before
         // its loop reads any of it.
         let rx = steth.start();
         steth.stop();

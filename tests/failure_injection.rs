@@ -5,7 +5,9 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use stethoscope::core::{OfflineSession, OnlineConfig, OnlineSession};
+use stethoscope::core::{
+    MultiServerSession, OfflineSession, OnlineConfig, OnlineSession, ServerSpec,
+};
 use stethoscope::dot::{plan_to_dot, LabelStyle};
 use stethoscope::engine::{
     Bat, Catalog, ExecOptions, Interpreter, ProfilerConfig, TableDef, VecSink,
@@ -163,6 +165,28 @@ fn failed_query_ends_the_online_session_without_end_of_trace() {
     assert!(started.elapsed() < std::time::Duration::from_secs(30));
     std::fs::remove_file(&cfg.trace_path).ok();
     std::fs::remove_file(&cfg.dot_path).ok();
+}
+
+#[test]
+fn failed_server_ends_the_multi_server_session_with_its_error() {
+    // One server divides by k = 0 and never sends `eot`; the other
+    // completes. The session must report the failing server's own error
+    // once both query threads are gone, not time out.
+    let server = |name: &str, sql: &str| ServerSpec {
+        name: name.into(),
+        catalog: tiny_catalog(),
+        sql: sql.into(),
+        filter: None,
+    };
+    let started = std::time::Instant::now();
+    let err = MultiServerSession::run(vec![
+        server("healthy", "select v from t where k = 1"),
+        server("failing", "select v / k as r from t"),
+    ])
+    .expect_err("division by zero fails the session");
+    assert!(err.msg.contains("failing"), "{err}");
+    assert!(err.msg.contains("division by zero"), "{err}");
+    assert!(started.elapsed() < std::time::Duration::from_secs(30));
 }
 
 #[test]
