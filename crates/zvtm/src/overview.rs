@@ -40,12 +40,15 @@ pub fn trace_strip(colors: &[Color], width: usize, height: usize) -> Framebuffer
     if colors.is_empty() || width == 0 {
         return fb;
     }
-    for x in 0..width {
-        let idx = x * colors.len() / width;
-        let c = colors[idx.min(colors.len() - 1)];
-        for y in 0..height {
-            fb.set(x as i64, y as i64, c);
-        }
+    // Column x shows event x·n/width; event i's band ends where that
+    // reaches i + 1.
+    let n = colors.len();
+    let mut x = 0;
+    while x < width {
+        let idx = x * n / width;
+        let end = ((idx + 1) * width).div_ceil(n);
+        fb.fill_rect(x as i64, 0, end as i64 - 1, height as i64 - 1, colors[idx]);
+        x = end;
     }
     fb
 }

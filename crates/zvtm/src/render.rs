@@ -2,6 +2,19 @@
 //! pixel framebuffer (PPM), or emit an SVG frame. These are the
 //! "display window" outputs — Figure 4 of the paper rendered without a
 //! GUI toolkit.
+//!
+//! A frame costs what falls inside it, not what the camera zooms past.
+//! Rectangles are filled one clipped row slice at a time. Lines are
+//! Bresenham's, drawn in runs: a segment whose bounding box misses the
+//! frame is dropped, the walk jumps straight to its first visible pixel
+//! and stops after its last, and each run of pixels on one row (or one
+//! column, for steep lines) is a single write whose length is one
+//! integer division of the error term. So a segment costs O(1 + visible
+//! runs + visible pixels) however long it is: at altitude 0 over a
+//! 1301-node plan, where most edges run far off screen, a 1280×800 frame
+//! is as cheap as the fitted one. The pixels are exactly those of the
+//! per-pixel walk (`walk_runs` says why), which
+//! `tests/raster_identity.rs` keeps as its reference.
 
 use std::fmt::Write as _;
 
@@ -42,37 +55,54 @@ impl Framebuffer {
         }
     }
 
-    /// Filled rectangle (clipped).
+    /// Filled rectangle (clipped), painted as one row slice per visible
+    /// row.
     pub fn fill_rect(&mut self, x0: i64, y0: i64, x1: i64, y1: i64, c: Color) {
+        let (xa, xb) = (x0.max(0), x1.min(self.width as i64 - 1));
+        if xa > xb {
+            return;
+        }
         for y in y0.max(0)..=y1.min(self.height as i64 - 1) {
-            for x in x0.max(0)..=x1.min(self.width as i64 - 1) {
-                self.set(x, y, c);
-            }
+            self.row(y, xa, xb, c);
         }
     }
 
-    /// Bresenham line (clipped per pixel).
+    /// Bresenham line, clipped to the frame and drawn run by run.
+    ///
+    /// The pixels are exactly those of the per-pixel error-term walk
+    /// (`e2 = 2·err; if e2 >= dy { x += sx } if e2 <= dx { y += sy }`),
+    /// but the work is bounded by what is visible: a segment whose
+    /// bounding box misses the frame costs nothing, the walk jumps to its
+    /// first visible pixel, stops after its last, and writes each run of
+    /// pixels on one row (or column) at once.
     pub fn line(&mut self, x0: i64, y0: i64, x1: i64, y1: i64, c: Color) {
-        let (mut x, mut y) = (x0, y0);
-        let dx = (x1 - x0).abs();
-        let dy = -(y1 - y0).abs();
-        let sx = if x0 < x1 { 1 } else { -1 };
-        let sy = if y0 < y1 { 1 } else { -1 };
-        let mut err = dx + dy;
-        loop {
-            self.set(x, y, c);
-            if x == x1 && y == y1 {
-                break;
-            }
-            let e2 = 2 * err;
-            if e2 >= dy {
-                err += dy;
-                x += sx;
-            }
-            if e2 <= dx {
-                err += dx;
-                y += sy;
-            }
+        let (w, h) = (self.width as i64, self.height as i64);
+        if x0.max(x1) < 0 || y0.max(y1) < 0 || x0.min(x1) >= w || y0.min(y1) >= h {
+            return;
+        }
+        let x = Axis::new(x0, x1, w);
+        let y = Axis::new(y0, y1, h);
+        if x.d >= y.d {
+            walk_runs(&x, &y, |y, xa, xb| self.row(y, xa, xb, c));
+        } else {
+            walk_runs(&y, &x, |x, ya, yb| self.column(x, ya, yb, c));
+        }
+    }
+
+    /// Paint row `y` from `xa` to `xb` (inclusive, already clipped).
+    fn row(&mut self, y: i64, xa: i64, xb: i64, c: Color) {
+        let at = y as usize * self.width;
+        self.pixels[at + xa as usize..=at + xb as usize].fill(c);
+    }
+
+    /// Paint column `x` from `ya` to `yb` (inclusive, already clipped).
+    fn column(&mut self, x: i64, ya: i64, yb: i64, c: Color) {
+        let w = self.width;
+        for p in self.pixels[ya as usize * w + x as usize..=yb as usize * w + x as usize]
+            .iter_mut()
+            .step_by(w)
+        {
+            *p = c;
         }
     }
 
@@ -90,6 +120,113 @@ impl Framebuffer {
             out.push(if (i + 1) % self.width == 0 { '\n' } else { ' ' });
         }
         out
+    }
+}
+
+/// One axis of a segment: steps `0..=d` from `from` in direction `step`,
+/// and the steps `lo..=hi` that land inside a frame of `len` pixels.
+struct Axis {
+    from: i64,
+    step: i64,
+    d: i64,
+    lo: i64,
+    hi: i64,
+}
+
+impl Axis {
+    /// The axis from `p0` to `p1`. The caller has checked that the
+    /// segment's extent overlaps `0..len`, so `lo <= hi`.
+    fn new(p0: i64, p1: i64, len: i64) -> Self {
+        let d = (p1 - p0).abs();
+        let step = if p0 < p1 { 1 } else { -1 };
+        let (lo, hi) = if step > 0 {
+            (-p0, len - 1 - p0)
+        } else {
+            (p0 - (len - 1), p0)
+        };
+        Axis {
+            from: p0,
+            step,
+            d,
+            lo: lo.max(0),
+            hi: hi.min(d),
+        }
+    }
+
+    /// Frame coordinate of step `t`.
+    fn at(&self, t: i64) -> i64 {
+        self.from + self.step * t
+    }
+
+    /// Frame coordinates of steps `a..=b`, in increasing order.
+    fn span(&self, a: i64, b: i64) -> (i64, i64) {
+        let (pa, pb) = (self.at(a), self.at(b));
+        (pa.min(pb), pa.max(pb))
+    }
+}
+
+/// Walk a Bresenham line whose major axis `major` has at least as many
+/// steps as its minor axis `minor`, calling `run(minor, lo, hi)` with
+/// frame coordinates for each visible run of pixels that share a minor
+/// coordinate.
+///
+/// Why the runs are the per-pixel walk's pixels: write `dM >= dm` for
+/// the two extents and `(a, b)` for the steps taken along each. A major
+/// step adds `-dm` to the error term and a minor step adds `dM`, so at
+/// `(a, b)` it is `err = dM·(b+1) − dm·(a+1)`. The walk takes a major
+/// step whenever `2·err >= −dm`, and here it always does: `err` starts
+/// at `dM − dm >= 0`, a diagonal step does not lower it, and a
+/// major-only step (taken when `2·err > dM`) leaves
+/// `2·err > dM − 2·dm >= −dm`. So every step is major-only or diagonal,
+/// one pixel per major step, and a run of major-only steps lowers
+/// `2·err` by `2·dm` each until `2·err <= dM`: it lasts
+/// `⌈(2·err − dM) / 2dm⌉` steps. Solved in closed form, the walk sits at
+/// `b(a) = ⌊(2·a·dm + dM) / 2dM⌋` (the ideal line rounded half up) and
+/// run `b` starts at major step `⌈dM·(2b − 1) / 2dm⌉`; that is how the
+/// walk enters the frame without visiting the pixels before it. A steep
+/// line is the same walk with the axes swapped and `err` negated: the
+/// two tests of the per-pixel walk mirror each other, ties included.
+fn walk_runs(major: &Axis, minor: &Axis, mut run: impl FnMut(i64, i64, i64)) {
+    let (big, small) = (i128::from(major.d), i128::from(minor.d));
+    // Enter the frame: the first step whose minor coordinate is visible
+    // (the first step of run `minor.lo`), or the first visible major
+    // step, whichever comes later.
+    let first_of_run = if minor.lo == 0 {
+        0
+    } else {
+        (big * (2 * i128::from(minor.lo) - 1) + 2 * small - 1) / (2 * small)
+    };
+    let mut a = major.lo.max(first_of_run as i64);
+    if a > major.hi {
+        return;
+    }
+    let mut b = if big == 0 {
+        0
+    } else {
+        ((2 * i128::from(a) * small + big) / (2 * big)) as i64
+    };
+    if b > minor.hi {
+        return;
+    }
+    let mut err = (big * i128::from(b + 1) - small * i128::from(a + 1)) as i64;
+    let (big, small) = (major.d, minor.d);
+    loop {
+        let steps = if small == 0 {
+            big - a
+        } else if 2 * err > big {
+            (2 * err - big + 2 * small - 1) / (2 * small)
+        } else {
+            0
+        };
+        let end = (a + steps).min(major.hi);
+        let (lo, hi) = major.span(a, end);
+        run(minor.at(b), lo, hi);
+        if end == major.hi || b == minor.hi {
+            return;
+        }
+        err += big - small * (steps + 1);
+        a = end + 1;
+        b += 1;
     }
 }
 
@@ -294,6 +431,36 @@ mod tests {
         fb.line(-100, -100, 100, 100, Color::BLACK);
         fb.fill_rect(-5, -5, 20, 20, Color::RED);
         assert_eq!(fb.count_color(Color::RED), 100);
+    }
+
+    #[test]
+    fn huge_segments_cost_only_their_visible_pixels() {
+        // Each segment is 2·10⁹ pixels long; a per-pixel walk over them
+        // takes tens of seconds, the visible part is 64 and 48 pixels.
+        let started = std::time::Instant::now();
+        let mut fb = Framebuffer::new(64, 48);
+        fb.line(-1_000_000_000, 5, 1_000_000_000, 5, Color::RED);
+        assert!((0..64).all(|x| fb.get(x, 5) == Color::RED));
+        assert_eq!(fb.count_color(Color::RED), 64);
+
+        let mut fb = Framebuffer::new(64, 48);
+        fb.line(
+            -1_000_000_000,
+            -1_000_000_000,
+            1_000_000_000,
+            1_000_000_000,
+            Color::RED,
+        );
+        for y in 0..48 {
+            for x in 0..64 {
+                assert_eq!(fb.get(x, y) == Color::RED, x == y, "pixel ({x}, {y})");
+            }
+        }
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(2),
+            "took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]
