@@ -5,7 +5,8 @@
 //! amortises scheduling. Also contains the candidates-vs-mask ablation
 //! (`ablate_candidates`) on the engine's selection design, and the
 //! slice-scaling probe showing `algebra.slice` is O(1) under shared
-//! buffers.
+//! buffers, and the two-column grouping probe comparing string keys
+//! (dictionary codes) with integer keys.
 //!
 //! Every mean measured here is upserted into the `BENCH_engine.json`
 //! ledger at the repository root. "Before" rows run with
@@ -90,6 +91,51 @@ fn bench_slice_scaling(c: &mut Criterion) {
             b.iter(|| base.slice(quarter, 3 * quarter).len())
         });
         set_force_copy(false);
+    }
+    group.finish();
+}
+
+fn bench_group_two_columns(c: &mut Criterion) {
+    // Q1's grouping shape: `group.group` on one key column, then
+    // `group.subgroup` on a second, over 300k rows with 3 × 2 distinct
+    // keys (l_returnflag × l_linestatus). String keys group on their
+    // dictionary codes; integer keys hash.
+    const ROWS: usize = 300_000;
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut draw = |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    let picks: Vec<(u64, u64)> = (0..ROWS).map(|_| (draw(3), draw(2))).collect();
+    let flags = ["R", "A", "N"];
+    let statuses = ["F", "O"];
+    let columns = [
+        (
+            "str_2col",
+            Bat::from_strs(picks.iter().map(|&(a, _)| flags[a as usize])),
+            Bat::from_strs(picks.iter().map(|&(_, b)| statuses[b as usize])),
+        ),
+        (
+            "int_2col",
+            Bat::ints(picks.iter().map(|&(a, _)| a as i64).collect()),
+            Bat::ints(picks.iter().map(|&(_, b)| b as i64).collect()),
+        ),
+    ];
+    let ctx = ExecCtx::new(std::sync::Arc::new(Catalog::new()));
+    let mut group = c.benchmark_group("engine/group");
+    group.sample_size(10);
+    for (name, first, second) in columns {
+        let (first, second) = (RuntimeValue::bat(first), RuntimeValue::bat(second));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let g = ops::execute("group", "group", std::slice::from_ref(&first), &ctx).unwrap();
+                let sub = ops::execute("group", "subgroup", &[second.clone(), g[0].clone()], &ctx)
+                    .unwrap();
+                sub[2].as_bat("t").unwrap().len()
+            })
+        });
     }
     group.finish();
 }
@@ -284,6 +330,15 @@ fn describe(name: &str) -> Vec<(String, serde_json::Value)> {
                 }),
             );
         }
+        ["engine", "group", keys] => {
+            push("bench", text("group_2col"));
+            push("keys", text(keys.trim_end_matches("_2col")));
+            push("rows", int(300_000));
+            push(
+                "host_cpus",
+                int(std::thread::available_parallelism().map_or(1, |n| n.get()) as i64),
+            );
+        }
         ["engine", "ablate_candidates", strategy] => {
             push("bench", text("ablate_candidates"));
             push("strategy", text(strategy));
@@ -321,8 +376,8 @@ fn write_ledger() {
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_parallel_speedup, bench_slice_scaling, bench_profiling_overhead,
-              bench_metrics_overhead, bench_ablate_candidates
+    targets = bench_parallel_speedup, bench_slice_scaling, bench_group_two_columns,
+              bench_profiling_overhead, bench_metrics_overhead, bench_ablate_candidates
 }
 
 fn main() {

@@ -108,8 +108,8 @@ impl Bencher {
             once = once.min(t.elapsed().max(Duration::from_nanos(1)));
         }
         // Fit `samples` samples into the measurement budget.
-        let sample_budget = (self.measurement / self.samples.max(1) as u32)
-            .max(Duration::from_nanos(1));
+        let sample_budget =
+            (self.measurement / self.samples.max(1) as u32).max(Duration::from_nanos(1));
         let per_sample = (sample_budget.as_nanos() / once.as_nanos()).clamp(1, 10_000) as usize;
 
         let mut total = Duration::ZERO;

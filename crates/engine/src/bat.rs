@@ -11,9 +11,15 @@
 //! adjacent views over the same buffer (the `mat.pack` of a partitioned
 //! pipeline) just widens the window. Mutation (`bat.append` with new data,
 //! `gather`, kernels producing fresh columns) allocates a new buffer —
-//! copy-on-write at buffer granularity. String tails intern their values as
-//! `Arc<str>`, so projecting or packing a string column moves refcounts,
-//! never bytes.
+//! copy-on-write at buffer granularity.
+//!
+//! String tails are dictionary-encoded, the way MonetDB keeps string tails
+//! as offsets into a deduplicated string heap: a string BAT stores one
+//! 4-byte code per row into a [`StrDict`] that holds each distinct string
+//! once and is shared (by `Arc`) by every BAT derived from the same column.
+//! Slicing, projecting and packing a string column copy or widen codes and
+//! share the dictionary — one refcount per BAT, none per row — and
+//! grouping keys on the codes instead of hashing strings.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,6 +34,7 @@ use crate::Result;
 /// dense-range projection) materialise fresh buffers instead — the engine's
 /// pre-sharing behaviour. Used by property tests to check that views are
 /// observationally identical to copies, and by benches to measure both sides.
+/// String columns copy their codes; their dictionary stays shared.
 static FORCE_COPY: AtomicBool = AtomicBool::new(false);
 
 /// Globally enable or disable forced materialisation (process-wide).
@@ -42,7 +49,7 @@ pub fn force_copy() -> bool {
 
 /// Typed owned column values — the *builder* type handed to [`Bat::new`].
 /// Once wrapped in a `Bat` the values are frozen behind an `Arc` buffer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum ColumnData {
     /// Booleans.
     Bit(Vec<bool>),
@@ -50,8 +57,14 @@ pub enum ColumnData {
     Int(Vec<i64>),
     /// Doubles.
     Dbl(Vec<f64>),
-    /// Strings, interned as shared `Arc<str>` values.
-    Str(Vec<Arc<str>>),
+    /// Strings: one code per row into a shared dictionary. Every code must
+    /// be below `dict.len()`.
+    Str {
+        /// Per-row dictionary codes.
+        codes: Vec<u32>,
+        /// The dictionary the codes index.
+        dict: Arc<StrDict>,
+    },
     /// Oids — candidate lists and join results.
     Oid(Vec<u64>),
     /// Dates, days since epoch.
@@ -65,7 +78,7 @@ impl ColumnData {
             ColumnData::Bit(v) => v.len(),
             ColumnData::Int(v) => v.len(),
             ColumnData::Dbl(v) => v.len(),
-            ColumnData::Str(v) => v.len(),
+            ColumnData::Str { codes, .. } => codes.len(),
             ColumnData::Oid(v) => v.len(),
             ColumnData::Date(v) => v.len(),
         }
@@ -82,7 +95,7 @@ impl ColumnData {
             ColumnData::Bit(_) => MalType::Bit,
             ColumnData::Int(_) => MalType::Int,
             ColumnData::Dbl(_) => MalType::Dbl,
-            ColumnData::Str(_) => MalType::Str,
+            ColumnData::Str { .. } => MalType::Str,
             ColumnData::Oid(_) => MalType::Oid,
             ColumnData::Date(_) => MalType::Date,
         }
@@ -94,7 +107,10 @@ impl ColumnData {
             MalType::Bit => ColumnData::Bit(Vec::new()),
             MalType::Int => ColumnData::Int(Vec::new()),
             MalType::Dbl => ColumnData::Dbl(Vec::new()),
-            MalType::Str => ColumnData::Str(Vec::new()),
+            MalType::Str => ColumnData::Str {
+                codes: Vec::new(),
+                dict: Arc::default(),
+            },
             MalType::Oid => ColumnData::Oid(Vec::new()),
             MalType::Date => ColumnData::Date(Vec::new()),
             other => {
@@ -106,13 +122,140 @@ impl ColumnData {
     }
 }
 
+/// A string dictionary: each distinct string once, stored back to back in
+/// one heap and addressed by a dense `u32` code in first-insertion order.
+/// Immutable once built; string BATs share it by `Arc`.
+#[derive(Debug, Default)]
+pub struct StrDict {
+    /// The strings, concatenated.
+    heap: String,
+    /// `ends[c]` is the heap offset one past string `c`.
+    ends: Vec<usize>,
+}
+
+impl StrDict {
+    /// Number of distinct strings.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when the dictionary holds no string.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The string with code `code`. Panics when `code >= len()`.
+    pub fn get(&self, code: u32) -> &str {
+        let c = code as usize;
+        let start = if c == 0 { 0 } else { self.ends[c - 1] };
+        &self.heap[start..self.ends[c]]
+    }
+
+    /// Heap footprint: the string bytes plus one offset per entry. O(1).
+    pub fn bytes(&self) -> usize {
+        self.heap.len() + self.ends.len() * std::mem::size_of::<usize>()
+    }
+
+    fn push(&mut self, s: &str) -> u32 {
+        let code = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&c| c < u32::MAX)
+            .expect("string dictionary holds at most u32::MAX - 1 entries");
+        self.heap.push_str(s);
+        self.ends.push(self.heap.len());
+        code
+    }
+}
+
+/// Builds a [`StrDict`], deduplicating as it goes: interning a string that
+/// is already present returns its existing code.
+#[derive(Debug, Default)]
+pub struct StrDictBuilder {
+    dict: StrDict,
+    /// Open-addressing index over `dict`: `code + 1` per used slot, 0 when
+    /// empty. Its length is zero or a power of two, at least twice the
+    /// number of entries.
+    slots: Vec<u32>,
+}
+
+impl StrDictBuilder {
+    /// An empty builder.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A builder that starts with `dict`'s entries under their codes.
+    fn extending(dict: &StrDict) -> Self {
+        let mut b = StrDictBuilder {
+            dict: StrDict {
+                heap: dict.heap.clone(),
+                ends: dict.ends.clone(),
+            },
+            slots: Vec::new(),
+        };
+        b.reindex();
+        b
+    }
+
+    /// The code of `s`, added to the dictionary when new.
+    pub fn intern(&mut self, s: &str) -> u32 {
+        if 2 * (self.dict.len() + 1) > self.slots.len() {
+            self.reindex();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = str_hash(s) as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => {
+                    let code = self.dict.push(s);
+                    self.slots[i] = code + 1;
+                    return code;
+                }
+                c if self.dict.get(c - 1) == s => return c - 1,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Freeze the dictionary.
+    pub fn finish(self) -> Arc<StrDict> {
+        Arc::new(self.dict)
+    }
+
+    /// Rebuild the index with room for at least one more entry.
+    fn reindex(&mut self) {
+        let cap = (2 * (self.dict.len() + 1)).next_power_of_two().max(16);
+        self.slots = vec![0; cap];
+        let mask = cap - 1;
+        for code in 0..self.dict.len() as u32 {
+            let mut i = str_hash(self.dict.get(code)) as usize & mask;
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = code + 1;
+        }
+    }
+}
+
+/// FNV-1a, folded so that the low bits the index masks see all the input.
+fn str_hash(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in s.as_bytes() {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h ^ (h >> 32)
+}
+
 /// The immutable shared backing store of one or more `Bat` views.
 #[derive(Debug, Clone)]
 enum Buffer {
     Bit(Arc<[bool]>),
     Int(Arc<[i64]>),
     Dbl(Arc<[f64]>),
-    Str(Arc<[Arc<str>]>),
+    Str {
+        codes: Arc<[u32]>,
+        dict: Arc<StrDict>,
+    },
     Oid(Arc<[u64]>),
     Date(Arc<[i32]>),
 }
@@ -123,7 +266,7 @@ impl Buffer {
             Buffer::Bit(_) => MalType::Bit,
             Buffer::Int(_) => MalType::Int,
             Buffer::Dbl(_) => MalType::Dbl,
-            Buffer::Str(_) => MalType::Str,
+            Buffer::Str { .. } => MalType::Str,
             Buffer::Oid(_) => MalType::Oid,
             Buffer::Date(_) => MalType::Date,
         }
@@ -136,7 +279,7 @@ impl Buffer {
             (Buffer::Bit(a), Buffer::Bit(b)) => Arc::ptr_eq(a, b),
             (Buffer::Int(a), Buffer::Int(b)) => Arc::ptr_eq(a, b),
             (Buffer::Dbl(a), Buffer::Dbl(b)) => Arc::ptr_eq(a, b),
-            (Buffer::Str(a), Buffer::Str(b)) => Arc::ptr_eq(a, b),
+            (Buffer::Str { codes: a, .. }, Buffer::Str { codes: b, .. }) => Arc::ptr_eq(a, b),
             (Buffer::Oid(a), Buffer::Oid(b)) => Arc::ptr_eq(a, b),
             (Buffer::Date(a), Buffer::Date(b)) => Arc::ptr_eq(a, b),
             _ => false,
@@ -150,16 +293,72 @@ impl From<ColumnData> for Buffer {
             ColumnData::Bit(v) => Buffer::Bit(v.into()),
             ColumnData::Int(v) => Buffer::Int(v.into()),
             ColumnData::Dbl(v) => Buffer::Dbl(v.into()),
-            ColumnData::Str(v) => Buffer::Str(v.into()),
+            ColumnData::Str { codes, dict } => Buffer::Str {
+                codes: codes.into(),
+                dict,
+            },
             ColumnData::Oid(v) => Buffer::Oid(v.into()),
             ColumnData::Date(v) => Buffer::Date(v.into()),
         }
     }
 }
 
+/// A windowed string column: per-row codes plus the dictionary they index.
+#[derive(Debug, Clone, Copy)]
+pub struct StrView<'a> {
+    codes: &'a [u32],
+    dict: &'a Arc<StrDict>,
+}
+
+impl<'a> StrView<'a> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// The string at row `i`. Panics when `i >= len()`.
+    pub fn get(&self, i: usize) -> &'a str {
+        self.dict.get(self.codes[i])
+    }
+
+    /// Per-row codes into [`StrView::dict`].
+    pub fn codes(&self) -> &'a [u32] {
+        self.codes
+    }
+
+    /// The shared dictionary.
+    pub fn dict(&self) -> &'a Arc<StrDict> {
+        self.dict
+    }
+
+    /// The strings, in row order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a str> + 'a {
+        let dict: &'a StrDict = self.dict;
+        self.codes.iter().map(move |&c| dict.get(c))
+    }
+}
+
+/// Equality is by string. Codes are compared directly only within one
+/// dictionary, where (having no duplicates) equal codes mean equal strings.
+impl PartialEq for StrView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        if self.len() != other.len() {
+            return false;
+        }
+        if Arc::ptr_eq(self.dict, other.dict) {
+            return self.codes == other.codes;
+        }
+        self.iter().eq(other.iter())
+    }
+}
+
 /// Borrowed, already-windowed view of a BAT's tail values — what kernels
-/// match on. String tails expose `Arc<str>` elements so cloning a value is
-/// a refcount bump, not a byte copy.
+/// match on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ColumnView<'a> {
     /// Booleans.
@@ -168,8 +367,8 @@ pub enum ColumnView<'a> {
     Int(&'a [i64]),
     /// Doubles.
     Dbl(&'a [f64]),
-    /// Interned strings.
-    Str(&'a [Arc<str>]),
+    /// Dictionary-encoded strings.
+    Str(StrView<'a>),
     /// Oids.
     Oid(&'a [u64]),
     /// Dates, days since epoch.
@@ -243,25 +442,42 @@ macro_rules! window {
 impl Bat {
     /// Freeze column data into a fresh full-width view (sortedness unknown
     /// → false).
+    ///
+    /// # Panics
+    /// When a string column holds a code outside its dictionary.
     pub fn new(data: ColumnData) -> Self {
-        let len = data.len();
-        Bat {
-            buf: data.into(),
-            off: 0,
-            len,
-            sorted: false,
-            dense: false,
+        if let ColumnData::Str { codes, dict } = &data {
+            assert!(
+                codes.iter().all(|&c| (c as usize) < dict.len()),
+                "string code outside its dictionary of {} entries",
+                dict.len()
+            );
         }
+        Bat::from_buffer(data.into(), false)
     }
 
     /// Freeze column data known to be sorted.
     pub fn new_sorted(data: ColumnData) -> Self {
-        let len = data.len();
+        let mut b = Bat::new(data);
+        b.sorted = true;
+        b
+    }
+
+    /// Full-width view of an already-valid buffer.
+    fn from_buffer(buf: Buffer, sorted: bool) -> Self {
+        let len = match &buf {
+            Buffer::Bit(v) => v.len(),
+            Buffer::Int(v) => v.len(),
+            Buffer::Dbl(v) => v.len(),
+            Buffer::Str { codes, .. } => codes.len(),
+            Buffer::Oid(v) => v.len(),
+            Buffer::Date(v) => v.len(),
+        };
         Bat {
-            buf: data.into(),
+            buf,
             off: 0,
             len,
-            sorted: true,
+            sorted,
             dense: false,
         }
     }
@@ -276,14 +492,23 @@ impl Bat {
         Bat::new(ColumnData::Dbl(v))
     }
 
-    /// Str column shorthand; interns each value behind an `Arc`.
+    /// Str column shorthand; see [`Bat::from_strs`].
     pub fn strs(v: Vec<String>) -> Self {
-        Bat::new(ColumnData::Str(v.into_iter().map(Arc::from).collect()))
+        Bat::from_strs(v)
     }
 
-    /// Str column from already-interned values.
-    pub fn strs_shared(v: Vec<Arc<str>>) -> Self {
-        Bat::new(ColumnData::Str(v))
+    /// Str column encoded against a fresh dictionary of the values'
+    /// distinct strings.
+    pub fn from_strs<S: AsRef<str>>(v: impl IntoIterator<Item = S>) -> Self {
+        let mut dict = StrDictBuilder::new();
+        let codes: Vec<u32> = v.into_iter().map(|s| dict.intern(s.as_ref())).collect();
+        Bat::from_buffer(
+            Buffer::Str {
+                codes: codes.into(),
+                dict: dict.finish(),
+            },
+            false,
+        )
     }
 
     /// Date column shorthand.
@@ -302,14 +527,9 @@ impl Bat {
     pub fn oids(v: Vec<u64>) -> Self {
         let sorted = v.windows(2).all(|w| w[0] <= w[1]);
         let dense = sorted && v.windows(2).all(|w| w[1] == w[0] + 1);
-        let len = v.len();
-        Bat {
-            buf: Buffer::Oid(v.into()),
-            off: 0,
-            len,
-            sorted,
-            dense,
-        }
+        let mut b = Bat::from_buffer(Buffer::Oid(v.into()), sorted);
+        b.dense = dense;
+        b
     }
 
     /// Row count.
@@ -339,7 +559,10 @@ impl Bat {
             Buffer::Bit(v) => ColumnView::Bit(window!(v, self)),
             Buffer::Int(v) => ColumnView::Int(window!(v, self)),
             Buffer::Dbl(v) => ColumnView::Dbl(window!(v, self)),
-            Buffer::Str(v) => ColumnView::Str(window!(v, self)),
+            Buffer::Str { codes, dict } => ColumnView::Str(StrView {
+                codes: window!(codes, self),
+                dict,
+            }),
             Buffer::Oid(v) => ColumnView::Oid(window!(v, self)),
             Buffer::Date(v) => ColumnView::Date(window!(v, self)),
         }
@@ -355,7 +578,7 @@ impl Bat {
             ColumnView::Bit(v) => Value::Bit(v[i]),
             ColumnView::Int(v) => Value::Int(v[i]),
             ColumnView::Dbl(v) => Value::Dbl(v[i]),
-            ColumnView::Str(v) => Value::Str(v[i].to_string()),
+            ColumnView::Str(v) => Value::Str(v.get(i).to_string()),
             ColumnView::Oid(v) => Value::Oid(v[i]),
             ColumnView::Date(v) => Value::Date(v[i]),
         })
@@ -365,7 +588,7 @@ impl Bat {
     /// not a string tail.
     pub fn str_at(&self, i: usize) -> Option<&str> {
         match self.view() {
-            ColumnView::Str(v) => v.get(i).map(|s| &**s),
+            ColumnView::Str(v) if i < v.len() => Some(v.get(i)),
             _ => None,
         }
     }
@@ -430,8 +653,8 @@ impl Bat {
         }
     }
 
-    /// Interned-string slice view.
-    pub fn as_strs(&self) -> Result<&[Arc<str>]> {
+    /// String view (codes plus dictionary).
+    pub fn as_strs(&self) -> Result<StrView<'_>> {
         match self.view() {
             ColumnView::Str(v) => Ok(v),
             other => Err(EngineError::TypeMismatch {
@@ -464,8 +687,10 @@ impl Bat {
     }
 
     /// Approximate heap footprint of the *window* in bytes; feeds the trace
-    /// `rss` field. Shared buffers are counted once per view on purpose —
-    /// the estimate tracks reachable, not unique, bytes.
+    /// `rss` field. O(1) for every tail type: a string window counts its
+    /// 4-byte codes plus its dictionary's [`StrDict::bytes`]. Shared buffers
+    /// and dictionaries are counted once per view on purpose — the estimate
+    /// tracks reachable, not unique, bytes.
     pub fn bytes(&self) -> usize {
         match self.view() {
             ColumnView::Bit(v) => v.len(),
@@ -473,24 +698,28 @@ impl Bat {
             ColumnView::Dbl(v) => v.len() * 8,
             ColumnView::Oid(v) => v.len() * 8,
             ColumnView::Date(v) => v.len() * 4,
-            ColumnView::Str(v) => v.iter().map(|s| s.len() + 24).sum(),
+            ColumnView::Str(v) => v.len() * 4 + v.dict().bytes(),
         }
     }
 
     /// Copy the window out into owned column data (the CoW slow path).
+    /// String codes are copied; the dictionary is shared.
     pub fn to_column_data(&self) -> ColumnData {
         match self.view() {
             ColumnView::Bit(v) => ColumnData::Bit(v.to_vec()),
             ColumnView::Int(v) => ColumnData::Int(v.to_vec()),
             ColumnView::Dbl(v) => ColumnData::Dbl(v.to_vec()),
-            ColumnView::Str(v) => ColumnData::Str(v.to_vec()),
+            ColumnView::Str(v) => ColumnData::Str {
+                codes: v.codes().to_vec(),
+                dict: Arc::clone(v.dict()),
+            },
             ColumnView::Oid(v) => ColumnData::Oid(v.to_vec()),
             ColumnView::Date(v) => ColumnData::Date(v.to_vec()),
         }
     }
 
     /// Fetch tail values at the given positions (the projection kernel).
-    /// String values are gathered by refcount, not by byte copy.
+    /// String columns gather codes and share the dictionary.
     pub fn gather(&self, positions: &[u64]) -> Result<Bat> {
         let n = self.len;
         let check = |o: u64| -> Result<usize> {
@@ -501,25 +730,29 @@ impl Bat {
                 Ok(i)
             }
         };
-        macro_rules! pick {
-            ($v:expr, $ctor:path, $take:expr) => {{
-                let mut out = Vec::with_capacity(positions.len());
-                for &o in positions {
-                    #[allow(clippy::redundant_closure_call)]
-                    out.push($take(&$v[check(o)?]));
-                }
-                $ctor(out)
-            }};
+        fn pick<T: Copy>(
+            v: &[T],
+            positions: &[u64],
+            check: impl Fn(u64) -> Result<usize>,
+        ) -> Result<Vec<T>> {
+            let mut out = Vec::with_capacity(positions.len());
+            for &o in positions {
+                out.push(v[check(o)?]);
+            }
+            Ok(out)
         }
-        let data = match self.view() {
-            ColumnView::Bit(v) => pick!(v, ColumnData::Bit, |x: &bool| *x),
-            ColumnView::Int(v) => pick!(v, ColumnData::Int, |x: &i64| *x),
-            ColumnView::Dbl(v) => pick!(v, ColumnData::Dbl, |x: &f64| *x),
-            ColumnView::Str(v) => pick!(v, ColumnData::Str, |x: &Arc<str>| Arc::clone(x)),
-            ColumnView::Oid(v) => pick!(v, ColumnData::Oid, |x: &u64| *x),
-            ColumnView::Date(v) => pick!(v, ColumnData::Date, |x: &i32| *x),
+        let buf = match self.view() {
+            ColumnView::Bit(v) => Buffer::Bit(pick(v, positions, check)?.into()),
+            ColumnView::Int(v) => Buffer::Int(pick(v, positions, check)?.into()),
+            ColumnView::Dbl(v) => Buffer::Dbl(pick(v, positions, check)?.into()),
+            ColumnView::Str(v) => Buffer::Str {
+                codes: pick(v.codes(), positions, check)?.into(),
+                dict: Arc::clone(v.dict()),
+            },
+            ColumnView::Oid(v) => Buffer::Oid(pick(v, positions, check)?.into()),
+            ColumnView::Date(v) => Buffer::Date(pick(v, positions, check)?.into()),
         };
-        Ok(Bat::new(data))
+        Ok(Bat::from_buffer(buf, false))
     }
 
     /// Concatenate `other` after `self` (both must share tail type).
@@ -533,7 +766,9 @@ impl Bat {
     /// then: (a) if every part is a view over the same buffer and the
     /// windows are adjacent in order, returns a widened view without
     /// touching data (the mitosis reassembly fast path); (b) otherwise
-    /// copies all parts into one fresh buffer in a single pass.
+    /// copies all parts into one fresh buffer in a single pass. String
+    /// parts over one dictionary keep their codes and share it; parts over
+    /// different dictionaries are re-coded into one merged dictionary.
     pub fn pack(parts: &[Bat]) -> Result<Bat> {
         let Some(first) = parts.first() else {
             return Err(EngineError::Other("mat.pack of zero parts".into()));
@@ -570,27 +805,34 @@ impl Bat {
         }
 
         let total: usize = parts.iter().map(|p| p.len).sum();
-        macro_rules! splice {
-            ($ctor:path, $variant:path) => {{
-                let mut out = Vec::with_capacity(total);
-                for p in parts {
-                    match p.view() {
-                        $variant(v) => out.extend_from_slice(v),
-                        _ => unreachable!("tail types checked above"),
-                    }
-                }
-                $ctor(out)
-            }};
+        fn splice<'a, T: Copy + 'a>(
+            total: usize,
+            parts: &'a [Bat],
+            slice: impl Fn(ColumnView<'a>) -> &'a [T],
+        ) -> Arc<[T]> {
+            let mut out = Vec::with_capacity(total);
+            for p in parts {
+                out.extend_from_slice(slice(p.view()));
+            }
+            out.into()
         }
-        let data = match first.view() {
-            ColumnView::Bit(_) => splice!(ColumnData::Bit, ColumnView::Bit),
-            ColumnView::Int(_) => splice!(ColumnData::Int, ColumnView::Int),
-            ColumnView::Dbl(_) => splice!(ColumnData::Dbl, ColumnView::Dbl),
-            ColumnView::Str(_) => splice!(ColumnData::Str, ColumnView::Str),
-            ColumnView::Oid(_) => splice!(ColumnData::Oid, ColumnView::Oid),
-            ColumnView::Date(_) => splice!(ColumnData::Date, ColumnView::Date),
+        macro_rules! typed {
+            ($variant:path) => {
+                |v| match v {
+                    $variant(v) => v,
+                    _ => unreachable!("tail types checked above"),
+                }
+            };
+        }
+        let buf = match first.view() {
+            ColumnView::Bit(_) => Buffer::Bit(splice(total, parts, typed!(ColumnView::Bit))),
+            ColumnView::Int(_) => Buffer::Int(splice(total, parts, typed!(ColumnView::Int))),
+            ColumnView::Dbl(_) => Buffer::Dbl(splice(total, parts, typed!(ColumnView::Dbl))),
+            ColumnView::Str(_) => pack_strs(total, parts),
+            ColumnView::Oid(_) => Buffer::Oid(splice(total, parts, typed!(ColumnView::Oid))),
+            ColumnView::Date(_) => Buffer::Date(splice(total, parts, typed!(ColumnView::Date))),
         };
-        Ok(Bat::new(data))
+        Ok(Bat::from_buffer(buf, false))
     }
 
     /// Positional slice `[lo, hi)` clamped to the BAT length — an O(1)
@@ -600,8 +842,8 @@ impl Bat {
         let hi = hi.min(self.len);
         let lo = lo.min(hi);
         if force_copy() {
-            let mut out = Bat::new(self.slice_view(lo, hi).to_column_data());
-            out.sorted = self.sorted;
+            let mut out =
+                Bat::from_buffer(self.slice_view(lo, hi).to_column_data().into(), self.sorted);
             out.dense = self.dense;
             return out;
         }
@@ -616,6 +858,42 @@ impl Bat {
             sorted: self.sorted,
             dense: self.dense,
         }
+    }
+}
+
+/// Concatenate string parts (tail types already checked). Codes of parts
+/// over the first part's dictionary are copied as they are; a part over
+/// any other dictionary is re-coded, string by string, into a merged
+/// dictionary that extends the first one.
+fn pack_strs(total: usize, parts: &[Bat]) -> Buffer {
+    let views: Vec<StrView<'_>> = parts
+        .iter()
+        .map(|p| match p.view() {
+            ColumnView::Str(v) => v,
+            _ => unreachable!("tail types checked above"),
+        })
+        .collect();
+    let base = views[0].dict();
+    let mut codes = Vec::with_capacity(total);
+    let mut merged: Option<StrDictBuilder> = None;
+    for v in &views {
+        if Arc::ptr_eq(v.dict(), base) {
+            codes.extend_from_slice(v.codes());
+            continue;
+        }
+        let merged = merged.get_or_insert_with(|| StrDictBuilder::extending(base));
+        let mut recode = vec![u32::MAX; v.dict().len()];
+        for &c in v.codes() {
+            let slot = &mut recode[c as usize];
+            if *slot == u32::MAX {
+                *slot = merged.intern(v.dict().get(c));
+            }
+            codes.push(*slot);
+        }
+    }
+    Buffer::Str {
+        codes: codes.into(),
+        dict: merged.map_or_else(|| Arc::clone(base), StrDictBuilder::finish),
     }
 }
 
@@ -662,13 +940,38 @@ mod tests {
     }
 
     #[test]
-    fn gather_shares_string_storage() {
-        let col = Bat::strs(vec!["aa".into(), "bb".into()]);
+    fn gather_shares_string_dictionary() {
+        let col = Bat::from_strs(["aa", "bb"]);
         let out = col.gather(&[1, 0, 1]).unwrap();
-        let src = col.as_strs().unwrap();
-        let dst = out.as_strs().unwrap();
-        assert!(Arc::ptr_eq(&dst[0], &src[1]));
-        assert!(Arc::ptr_eq(&dst[1], &src[0]));
+        let (src, dst) = (col.as_strs().unwrap(), out.as_strs().unwrap());
+        assert!(Arc::ptr_eq(src.dict(), dst.dict()));
+        assert_eq!(dst.codes(), &[1, 0, 1]);
+        assert_eq!(dst.iter().collect::<Vec<_>>(), ["bb", "aa", "bb"]);
+    }
+
+    #[test]
+    fn strs_deduplicate_into_one_dictionary() {
+        let col = Bat::from_strs(["x", "y", "x", "", "y", ""]);
+        let v = col.as_strs().unwrap();
+        assert_eq!(v.dict().len(), 3);
+        assert_eq!(v.codes(), &[0, 1, 0, 2, 1, 2]);
+        assert_eq!(v.get(3), "");
+        // Growing past the index's first capacity keeps every code stable.
+        let many: Vec<String> = (0..1000).map(|i| format!("s{}", i % 300)).collect();
+        let col = Bat::from_strs(&many);
+        let v = col.as_strs().unwrap();
+        assert_eq!(v.dict().len(), 300);
+        assert!(v.iter().eq(many.iter().map(String::as_str)));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside its dictionary")]
+    fn new_rejects_codes_outside_the_dictionary() {
+        let dict = Bat::from_strs(["only"]).as_strs().unwrap().dict().clone();
+        Bat::new(ColumnData::Str {
+            codes: vec![0, 1],
+            dict,
+        });
     }
 
     #[test]
@@ -766,7 +1069,11 @@ mod tests {
     fn bytes_estimates() {
         assert_eq!(Bat::ints(vec![1, 2]).bytes(), 16);
         assert_eq!(Bat::dates(vec![1]).bytes(), 4);
-        assert!(Bat::strs(vec!["abc".into()]).bytes() >= 3);
+        // Strings: 4 bytes per row in the window plus the dictionary's
+        // heap ("abc" + "de" = 5 bytes) and one offset per entry.
+        let s = Bat::from_strs(["abc", "de", "abc", "de"]);
+        let offset = std::mem::size_of::<usize>();
+        assert_eq!(s.slice(1, 3).bytes(), 2 * 4 + 5 + 2 * offset);
         // The window, not the buffer, is what's counted.
         assert_eq!(Bat::ints(vec![1, 2, 3, 4]).slice(0, 2).bytes(), 16);
     }

@@ -5,8 +5,6 @@
 //! (`subsum` etc.) take `(values, groups, extents)` from `group.group`
 //! and return one value per group.
 
-use std::sync::Arc;
-
 use stetho_mal::{MalType, Value};
 
 use crate::bat::{Bat, ColumnData, ColumnView};
@@ -164,7 +162,7 @@ fn cell_cmp(view: ColumnView<'_>, a: usize, b: usize) -> std::cmp::Ordering {
     match view {
         ColumnView::Int(v) => v[a].cmp(&v[b]),
         ColumnView::Dbl(v) => v[a].partial_cmp(&v[b]).unwrap_or(Ordering::Equal),
-        ColumnView::Str(v) => v[a].cmp(&v[b]),
+        ColumnView::Str(v) => v.get(a).cmp(v.get(b)),
         ColumnView::Oid(v) => v[a].cmp(&v[b]),
         ColumnView::Date(v) => v[a].cmp(&v[b]),
         ColumnView::Bit(v) => v[a].cmp(&v[b]),
@@ -307,7 +305,24 @@ pub fn subminmax(args: &[RuntimeValue], is_min: bool) -> Result<Vec<RuntimeValue
     match vals.view() {
         ColumnView::Int(v) => reduce!(v, ColumnData::Int, 0i64),
         ColumnView::Dbl(v) => reduce!(v, ColumnData::Dbl, 0.0f64),
-        ColumnView::Str(v) => reduce!(v, ColumnData::Str, Arc::<str>::from("")),
+        ColumnView::Str(v) => {
+            // Reduce over codes, comparing their strings; a group that no
+            // row reaches reads "" as the other types read zero.
+            let mut acc: Vec<Option<u32>> = vec![None; n];
+            for (&g, &c) in groups.iter().zip(v.codes()) {
+                let gi = check_group(g, n)?;
+                let s = v.dict().get(c);
+                let better = acc[gi].is_none_or(|a| {
+                    let best = v.dict().get(a);
+                    (is_min && s < best) || (!is_min && s > best)
+                });
+                if better {
+                    acc[gi] = Some(c);
+                }
+            }
+            let strs = acc.iter().map(|a| a.map_or("", |c| v.dict().get(c)));
+            Ok(vec![RuntimeValue::bat(Bat::from_strs(strs))])
+        }
         ColumnView::Date(v) => reduce!(v, ColumnData::Date, 0i32),
         ColumnView::Oid(v) => reduce!(v, ColumnData::Oid, 0u64),
         other => Err(EngineError::TypeMismatch {

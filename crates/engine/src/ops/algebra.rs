@@ -40,7 +40,7 @@ fn cmp_cell(col: ColumnView<'_>, i: usize, v: &Value) -> Result<Ordering> {
             let x = v.as_dbl().ok_or_else(err)?;
             Ok(c[i].partial_cmp(&x).unwrap_or(Ordering::Less))
         }
-        (ColumnView::Str(c), Value::Str(x)) => Ok((*c[i]).cmp(x.as_str())),
+        (ColumnView::Str(c), Value::Str(x)) => Ok(c.get(i).cmp(x.as_str())),
         (ColumnView::Oid(c), Value::Oid(x)) => Ok(c[i].cmp(x)),
         (ColumnView::Oid(c), Value::Int(x)) => Ok((c[i] as i64).cmp(x)),
         (ColumnView::Date(c), Value::Date(x)) => Ok(c[i].cmp(x)),
@@ -473,7 +473,7 @@ fn key_at<'a>(col: &ColumnView<'a>, i: usize) -> Key<'a> {
         ColumnView::Oid(v) => Key::Int(v[i] as i64),
         ColumnView::Date(v) => Key::Int(v[i] as i64),
         ColumnView::Dbl(v) => Key::Bits(v[i].to_bits()),
-        ColumnView::Str(v) => Key::Str(&v[i]),
+        ColumnView::Str(v) => Key::Str(v.get(i)),
         ColumnView::Bit(v) => Key::Bool(v[i]),
     }
 }
@@ -543,7 +543,7 @@ fn order_of(col: ColumnView<'_>, reverse: bool) -> Vec<u64> {
             ColumnView::Oid(v) => v[a].cmp(&v[b]),
             ColumnView::Date(v) => v[a].cmp(&v[b]),
             ColumnView::Bit(v) => v[a].cmp(&v[b]),
-            ColumnView::Str(v) => v[a].cmp(&v[b]),
+            ColumnView::Str(v) => v.get(a).cmp(v.get(b)),
             ColumnView::Dbl(v) => v[a].partial_cmp(&v[b]).unwrap_or(Ordering::Equal),
         }
     };

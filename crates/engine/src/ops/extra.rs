@@ -73,7 +73,7 @@ pub fn likeselect(args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
                 len: strings.len(),
             });
         }
-        if like_match(&strings[i], &pattern) != anti {
+        if like_match(strings.get(i), &pattern) != anti {
             out.push(o);
         }
     }
@@ -198,7 +198,7 @@ pub fn unique(args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
             ColumnView::Date(v) => format!("d{}", v[i]),
             ColumnView::Bit(v) => format!("b{}", v[i]),
             ColumnView::Dbl(v) => format!("f{}", v[i].to_bits()),
-            ColumnView::Str(v) => format!("s{}", v[i]),
+            ColumnView::Str(v) => format!("s{}", v.get(i)),
         };
         if seen.insert(key) {
             out.push(i as u64);

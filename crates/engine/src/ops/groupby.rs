@@ -8,23 +8,28 @@
 //!
 //! `group.subgroup(col, groups)` refines an existing grouping with an
 //! additional column (multi-column GROUP BY chains these).
+//!
+//! String columns group on their dictionary codes, which identify strings
+//! within the column's one dictionary. `group.group` maps codes through a
+//! `dict.len()` table, `group.subgroup` maps `(previous group, code)` pairs
+//! through a `groups × dict.len()` table; either falls back to hashing the
+//! codes when its table would be larger than the input. Every path numbers
+//! groups in order of first occurrence, so all give the same outputs.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::hash::Hash;
 
 use crate::bat::{Bat, ColumnData, ColumnView};
 use crate::error::EngineError;
 use crate::rt::RuntimeValue;
 use crate::Result;
 
-/// Hashable row-key view over one column. String keys share the column's
-/// interned `Arc<str>` storage — hashing a string group key never copies
-/// the character data.
-#[derive(Hash, PartialEq, Eq, Clone)]
+/// Hashable row key over one column.
+#[derive(Hash, PartialEq, Eq, Clone, Copy)]
 enum Key {
     Int(i64),
     Bits(u64),
-    Str(Arc<str>),
+    Code(u32),
     Bool(bool),
 }
 
@@ -34,27 +39,77 @@ fn key_at(col: &ColumnView<'_>, i: usize) -> Key {
         ColumnView::Oid(v) => Key::Int(v[i] as i64),
         ColumnView::Date(v) => Key::Int(v[i] as i64),
         ColumnView::Dbl(v) => Key::Bits(v[i].to_bits()),
-        ColumnView::Str(v) => Key::Str(Arc::clone(&v[i])),
+        ColumnView::Str(v) => Key::Code(v.codes()[i]),
         ColumnView::Bit(v) => Key::Bool(v[i]),
     }
 }
 
-fn group_by_keys(keys: impl Iterator<Item = Key>, n: usize) -> (Vec<u64>, Vec<u64>, Vec<i64>) {
-    let mut ids: HashMap<Key, u64> = HashMap::new();
-    let mut groups = Vec::with_capacity(n);
-    let mut extents = Vec::new();
-    let mut histo: Vec<i64> = Vec::new();
+/// A dense lookup table of `table` slots pays off only when it is no
+/// larger than the `rows` it serves.
+fn dense_fits(table: usize, rows: usize) -> bool {
+    table <= rows
+}
+
+/// The `(groups, extents, histo)` triple under construction.
+struct Grouping {
+    groups: Vec<u64>,
+    extents: Vec<u64>,
+    histo: Vec<i64>,
+}
+
+impl Grouping {
+    fn with_capacity(n: usize) -> Self {
+        Grouping {
+            groups: Vec::with_capacity(n),
+            extents: Vec::new(),
+            histo: Vec::new(),
+        }
+    }
+
+    /// Place the next row, `i`, in group `id`; `id` equal to the number of
+    /// groups so far opens a new group at `i`.
+    fn push(&mut self, i: usize, id: u64) {
+        if id as usize == self.histo.len() {
+            self.extents.push(i as u64);
+            self.histo.push(0);
+        }
+        self.histo[id as usize] += 1;
+        self.groups.push(id);
+    }
+
+    fn into_values(self) -> Vec<RuntimeValue> {
+        vec![
+            RuntimeValue::bat(Bat::new(ColumnData::Oid(self.groups))),
+            RuntimeValue::bat(Bat::new(ColumnData::Oid(self.extents))),
+            RuntimeValue::bat(Bat::new(ColumnData::Int(self.histo))),
+        ]
+    }
+}
+
+/// Group rows by hashed keys.
+fn group_hashed<K: Hash + Eq>(keys: impl Iterator<Item = K>, n: usize) -> Grouping {
+    let mut ids: HashMap<K, u64> = HashMap::new();
+    let mut out = Grouping::with_capacity(n);
     for (i, k) in keys.enumerate() {
         let next = ids.len() as u64;
-        let id = *ids.entry(k).or_insert_with(|| {
-            extents.push(i as u64);
-            histo.push(0);
-            next
-        });
-        histo[id as usize] += 1;
-        groups.push(id);
+        let id = *ids.entry(k).or_insert(next);
+        out.push(i, id);
     }
-    (groups, extents, histo)
+    out
+}
+
+/// Group rows by their slot in a dense table of `table` slots.
+fn group_dense(slots: impl Iterator<Item = usize>, table: usize, n: usize) -> Grouping {
+    let mut ids = vec![u64::MAX; table];
+    let mut out = Grouping::with_capacity(n);
+    for (i, s) in slots.enumerate() {
+        let id = &mut ids[s];
+        if *id == u64::MAX {
+            *id = out.histo.len() as u64;
+        }
+        out.push(i, *id);
+    }
+    out
 }
 
 /// `group.group(col)`.
@@ -63,12 +118,13 @@ pub fn group(args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
     let col = super::one_arg(op, args)?.as_bat(op)?;
     let n = col.len();
     let view = col.view();
-    let (groups, extents, histo) = group_by_keys((0..n).map(|i| key_at(&view, i)), n);
-    Ok(vec![
-        RuntimeValue::bat(Bat::new(ColumnData::Oid(groups))),
-        RuntimeValue::bat(Bat::new(ColumnData::Oid(extents))),
-        RuntimeValue::bat(Bat::new(ColumnData::Int(histo))),
-    ])
+    let out = match view {
+        ColumnView::Str(v) if dense_fits(v.dict().len(), n) => {
+            group_dense(v.codes().iter().map(|&c| c as usize), v.dict().len(), n)
+        }
+        _ => group_hashed((0..n).map(|i| key_at(&view, i)), n),
+    };
+    Ok(out.into_values())
 }
 
 /// `group.subgroup(col, groups)` — refine `groups` by `col`.
@@ -90,30 +146,29 @@ pub fn subgroup(args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
         });
     }
     let n = col.len();
-    // Pair (previous group, this column's key) as the refined key.
-    #[derive(Hash, PartialEq, Eq, Clone)]
-    struct Pair(u64, Key);
-    let mut ids: HashMap<Pair, u64> = HashMap::new();
-    let mut groups = Vec::with_capacity(n);
-    let mut extents = Vec::new();
-    let mut histo: Vec<i64> = Vec::new();
     let view = col.view();
-    for (i, &p) in prev.iter().enumerate().take(n) {
-        let k = Pair(p, key_at(&view, i));
-        let next = ids.len() as u64;
-        let id = *ids.entry(k).or_insert_with(|| {
-            extents.push(i as u64);
-            histo.push(0);
-            next
-        });
-        histo[id as usize] += 1;
-        groups.push(id);
-    }
-    Ok(vec![
-        RuntimeValue::bat(Bat::new(ColumnData::Oid(groups))),
-        RuntimeValue::bat(Bat::new(ColumnData::Oid(extents))),
-        RuntimeValue::bat(Bat::new(ColumnData::Int(histo))),
-    ])
+    // The refined key pairs the previous group with this column's key.
+    let out = match view {
+        ColumnView::Str(v) => {
+            let d = v.dict().len();
+            let table = prev
+                .iter()
+                .max()
+                .and_then(|&m| usize::try_from(m).ok()?.checked_add(1)?.checked_mul(d));
+            let pairs = prev.iter().zip(v.codes());
+            match table {
+                Some(t) if dense_fits(t, n) => {
+                    group_dense(pairs.map(|(&p, &c)| p as usize * d + c as usize), t, n)
+                }
+                _ => group_hashed(pairs, n),
+            }
+        }
+        _ => group_hashed(
+            prev.iter().enumerate().map(|(i, &p)| (p, key_at(&view, i))),
+            n,
+        ),
+    };
+    Ok(out.into_values())
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stetho_engine::{Bat, Catalog, TableDef};
+use stetho_engine::{Bat, Catalog, ColumnData, StrDictBuilder, TableDef};
 use stetho_mal::MalType;
 
 /// Generator configuration.
@@ -83,6 +83,13 @@ const TYPES: [&str; 6] = [
     "ECONOMY BURNISHED",
     "PROMO TIN",
 ];
+const RETURNFLAGS: [&str; 3] = ["R", "A", "N"];
+const FLAG_R: u32 = 0;
+const FLAG_A: u32 = 1;
+const FLAG_N: u32 = 2;
+const LINESTATUSES: [&str; 2] = ["F", "O"];
+const STATUS_F: u32 = 0;
+const STATUS_O: u32 = 1;
 
 /// Days since epoch for 1992-01-01 and the order-date span (TPC-H dates
 /// run 1992-01-01 .. 1998-08-02).
@@ -159,18 +166,8 @@ pub fn generate_catalog(cfg: &TpchConfig) -> Catalog {
                     "p_name",
                     (1..=n_part).map(|i| format!("part {i}")).collect(),
                 ),
-                col_str(
-                    "p_brand",
-                    (0..n_part)
-                        .map(|_| BRANDS[rng.gen_range(0..BRANDS.len())].to_string())
-                        .collect(),
-                ),
-                col_str(
-                    "p_type",
-                    (0..n_part)
-                        .map(|_| TYPES[rng.gen_range(0..TYPES.len())].to_string())
-                        .collect(),
-                ),
+                col_enum("p_brand", &BRANDS, pick(&mut rng, n_part, BRANDS.len())),
+                col_enum("p_type", &TYPES, pick(&mut rng, n_part, TYPES.len())),
                 col_dbl(
                     "p_retailprice",
                     (0..n_part)
@@ -197,11 +194,10 @@ pub fn generate_catalog(cfg: &TpchConfig) -> Catalog {
                     "c_nationkey",
                     (0..n_cust).map(|_| rng.gen_range(0..25)).collect(),
                 ),
-                col_str(
+                col_enum(
                     "c_mktsegment",
-                    (0..n_cust)
-                        .map(|_| SEGMENTS[rng.gen_range(0..SEGMENTS.len())].to_string())
-                        .collect(),
+                    &SEGMENTS,
+                    pick(&mut rng, n_cust, SEGMENTS.len()),
                 ),
                 col_dbl(
                     "c_acctbal",
@@ -231,11 +227,10 @@ pub fn generate_catalog(cfg: &TpchConfig) -> Catalog {
                         .collect(),
                 ),
                 col_date("o_orderdate", o_orderdate.clone()),
-                col_str(
+                col_enum(
                     "o_orderpriority",
-                    (0..n_ord)
-                        .map(|_| PRIORITIES[rng.gen_range(0..PRIORITIES.len())].to_string())
-                        .collect(),
+                    &PRIORITIES,
+                    pick(&mut rng, n_ord, PRIORITIES.len()),
                 ),
                 col_dbl(
                     "o_totalprice",
@@ -277,15 +272,19 @@ pub fn generate_catalog(cfg: &TpchConfig) -> Catalog {
             l_tax.push(round2(rng.gen_range(0.0..0.08)));
             let ship = odate + rng.gen_range(1..=121);
             l_shipdate.push(ship);
-            l_shipmode.push(SHIPMODES[rng.gen_range(0..SHIPMODES.len())].to_string());
+            l_shipmode.push(rng.gen_range(0..SHIPMODES.len()) as u32);
             // Flags per the TPC-H rule: returns for shipments before the
             // "current date" horizon, split R/A; later ones N.
             if ship <= START_DATE + DATE_SPAN - 151 {
-                l_returnflag.push(if rng.gen_bool(0.5) { "R" } else { "A" }.to_string());
-                l_linestatus.push("F".to_string());
+                l_returnflag.push(if rng.gen_bool(0.5) { FLAG_R } else { FLAG_A });
+                l_linestatus.push(STATUS_F);
             } else {
-                l_returnflag.push("N".to_string());
-                l_linestatus.push(if rng.gen_bool(0.5) { "O" } else { "F" }.to_string());
+                l_returnflag.push(FLAG_N);
+                l_linestatus.push(if rng.gen_bool(0.5) {
+                    STATUS_O
+                } else {
+                    STATUS_F
+                });
             }
         }
     }
@@ -301,10 +300,10 @@ pub fn generate_catalog(cfg: &TpchConfig) -> Catalog {
                 col_dbl("l_extendedprice", l_extendedprice),
                 col_dbl("l_discount", l_discount),
                 col_dbl("l_tax", l_tax),
-                col_str("l_returnflag", l_returnflag),
-                col_str("l_linestatus", l_linestatus),
+                col_enum("l_returnflag", &RETURNFLAGS, l_returnflag),
+                col_enum("l_linestatus", &LINESTATUSES, l_linestatus),
                 col_date("l_shipdate", l_shipdate),
-                col_str("l_shipmode", l_shipmode),
+                col_enum("l_shipmode", &SHIPMODES, l_shipmode),
             ],
         )
         .expect("lineitem table"),
@@ -327,6 +326,26 @@ fn col_dbl(name: &str, v: Vec<f64>) -> (String, MalType, Bat) {
 
 fn col_str(name: &str, v: Vec<String>) -> (String, MalType, Bat) {
     (name.to_string(), MalType::Str, Bat::strs(v))
+}
+
+/// `n` uniform picks from a domain of `len` values, one RNG draw each.
+fn pick(rng: &mut StdRng, n: usize, len: usize) -> Vec<u32> {
+    (0..n).map(|_| rng.gen_range(0..len) as u32).collect()
+}
+
+/// An enumerated string column: row `i` holds `domain[codes[i]]`, stored
+/// as codes into one dictionary of the domain.
+fn col_enum(name: &str, domain: &[&str], codes: Vec<u32>) -> (String, MalType, Bat) {
+    let mut dict = StrDictBuilder::new();
+    for (k, s) in domain.iter().enumerate() {
+        assert_eq!(dict.intern(s) as usize, k, "domain of {name} repeats {s:?}");
+    }
+    let dict = dict.finish();
+    (
+        name.to_string(),
+        MalType::Str,
+        Bat::new(ColumnData::Str { codes, dict }),
+    )
 }
 
 fn col_date(name: &str, v: Vec<i32>) -> (String, MalType, Bat) {
