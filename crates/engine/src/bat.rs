@@ -21,6 +21,7 @@
 //! share the dictionary — one refcount per BAT, none per row — and
 //! grouping keys on the codes instead of hashing strings.
 
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -170,80 +171,36 @@ impl StrDict {
 /// Builds a [`StrDict`], deduplicating as it goes: interning a string that
 /// is already present returns its existing code.
 #[derive(Debug, Default)]
-pub struct StrDictBuilder {
+struct StrDictBuilder {
     dict: StrDict,
-    /// Open-addressing index over `dict`: `code + 1` per used slot, 0 when
-    /// empty. Its length is zero or a power of two, at least twice the
-    /// number of entries.
-    slots: Vec<u32>,
+    /// The code of each string in `dict`; dropped by `finish`.
+    index: HashMap<Box<str>, u32>,
 }
 
 impl StrDictBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A builder that starts with `dict`'s entries under their codes.
     fn extending(dict: &StrDict) -> Self {
-        let mut b = StrDictBuilder {
-            dict: StrDict {
-                heap: dict.heap.clone(),
-                ends: dict.ends.clone(),
-            },
-            slots: Vec::new(),
-        };
-        b.reindex();
+        let mut b = StrDictBuilder::default();
+        for code in 0..dict.len() as u32 {
+            b.intern(dict.get(code));
+        }
         b
     }
 
     /// The code of `s`, added to the dictionary when new.
-    pub fn intern(&mut self, s: &str) -> u32 {
-        if 2 * (self.dict.len() + 1) > self.slots.len() {
-            self.reindex();
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&code) = self.index.get(s) {
+            return code;
         }
-        let mask = self.slots.len() - 1;
-        let mut i = str_hash(s) as usize & mask;
-        loop {
-            match self.slots[i] {
-                0 => {
-                    let code = self.dict.push(s);
-                    self.slots[i] = code + 1;
-                    return code;
-                }
-                c if self.dict.get(c - 1) == s => return c - 1,
-                _ => i = (i + 1) & mask,
-            }
-        }
+        let code = self.dict.push(s);
+        self.index.insert(s.into(), code);
+        code
     }
 
     /// Freeze the dictionary.
-    pub fn finish(self) -> Arc<StrDict> {
+    fn finish(self) -> Arc<StrDict> {
         Arc::new(self.dict)
     }
-
-    /// Rebuild the index with room for at least one more entry.
-    fn reindex(&mut self) {
-        let cap = (2 * (self.dict.len() + 1)).next_power_of_two().max(16);
-        self.slots = vec![0; cap];
-        let mask = cap - 1;
-        for code in 0..self.dict.len() as u32 {
-            let mut i = str_hash(self.dict.get(code)) as usize & mask;
-            while self.slots[i] != 0 {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = code + 1;
-        }
-    }
-}
-
-/// FNV-1a, folded so that the low bits the index masks see all the input.
-fn str_hash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^ (h >> 32)
 }
 
 /// The immutable shared backing store of one or more `Bat` views.
@@ -497,10 +454,26 @@ impl Bat {
         Bat::from_strs(v)
     }
 
+    /// Str column over a fixed domain: row `i` holds `domain[codes[i]]`,
+    /// and the dictionary is the domain in order.
+    ///
+    /// # Panics
+    /// When `domain` repeats a string or a code is not below `domain.len()`.
+    pub fn from_codes(domain: &[&str], codes: Vec<u32>) -> Self {
+        let mut dict = StrDictBuilder::default();
+        for (k, s) in domain.iter().enumerate() {
+            assert_eq!(dict.intern(s) as usize, k, "string domain repeats {s:?}");
+        }
+        Bat::new(ColumnData::Str {
+            codes,
+            dict: dict.finish(),
+        })
+    }
+
     /// Str column encoded against a fresh dictionary of the values'
     /// distinct strings.
     pub fn from_strs<S: AsRef<str>>(v: impl IntoIterator<Item = S>) -> Self {
-        let mut dict = StrDictBuilder::new();
+        let mut dict = StrDictBuilder::default();
         let codes: Vec<u32> = v.into_iter().map(|s| dict.intern(s.as_ref())).collect();
         Bat::from_buffer(
             Buffer::Str {

@@ -11,10 +11,11 @@
 //!
 //! String columns group on their dictionary codes, which identify strings
 //! within the column's one dictionary. `group.group` maps codes through a
-//! `dict.len()` table, `group.subgroup` maps `(previous group, code)` pairs
-//! through a `groups × dict.len()` table; either falls back to hashing the
-//! codes when its table would be larger than the input. Every path numbers
-//! groups in order of first occurrence, so all give the same outputs.
+//! `dict.len()` table, no larger than the dictionary itself.
+//! `group.subgroup` maps `(previous group, code)` pairs through a
+//! `groups × dict.len()` table, and hashes the pairs instead when that
+//! table would be larger than the input. Every path numbers groups in
+//! order of first occurrence, so all give the same outputs.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -42,12 +43,6 @@ fn key_at(col: &ColumnView<'_>, i: usize) -> Key {
         ColumnView::Str(v) => Key::Code(v.codes()[i]),
         ColumnView::Bit(v) => Key::Bool(v[i]),
     }
-}
-
-/// A dense lookup table of `table` slots pays off only when it is no
-/// larger than the `rows` it serves.
-fn dense_fits(table: usize, rows: usize) -> bool {
-    table <= rows
 }
 
 /// The `(groups, extents, histo)` triple under construction.
@@ -119,9 +114,7 @@ pub fn group(args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
     let n = col.len();
     let view = col.view();
     let out = match view {
-        ColumnView::Str(v) if dense_fits(v.dict().len(), n) => {
-            group_dense(v.codes().iter().map(|&c| c as usize), v.dict().len(), n)
-        }
+        ColumnView::Str(v) => group_dense(v.codes().iter().map(|&c| c as usize), v.dict().len(), n),
         _ => group_hashed((0..n).map(|i| key_at(&view, i)), n),
     };
     Ok(out.into_values())
@@ -147,7 +140,9 @@ pub fn subgroup(args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
     }
     let n = col.len();
     let view = col.view();
-    // The refined key pairs the previous group with this column's key.
+    // The refined key pairs the previous group with this column's key. A
+    // dense table over string pairs pays off only when it is no larger
+    // than the input.
     let out = match view {
         ColumnView::Str(v) => {
             let d = v.dict().len();
@@ -157,7 +152,7 @@ pub fn subgroup(args: &[RuntimeValue]) -> Result<Vec<RuntimeValue>> {
                 .and_then(|&m| usize::try_from(m).ok()?.checked_add(1)?.checked_mul(d));
             let pairs = prev.iter().zip(v.codes());
             match table {
-                Some(t) if dense_fits(t, n) => {
+                Some(t) if t <= n => {
                     group_dense(pairs.map(|(&p, &c)| p as usize * d + c as usize), t, n)
                 }
                 _ => group_hashed(pairs, n),

@@ -7,8 +7,8 @@
 //! order. Each kernel must give the answer the reference computes from
 //! the strings alone, whatever the codes and dictionaries are:
 //!
-//! * `group.group` and `group.subgroup`, with inputs shaped to take the
-//!   dense-table branch and the hashed branch;
+//! * `group.group` and `group.subgroup`, with inputs shaped to take
+//!   subgroup's dense-table branch and its hashed branch;
 //! * `gather`, `slice`, and `pack` over one dictionary (adjacent and
 //!   scattered parts) and over different dictionaries holding equal
 //!   strings, where the merged dictionary must stay free of duplicates;
@@ -106,9 +106,10 @@ fn like(s: &[char], p: &[char]) -> bool {
     }
 }
 
-/// A grouping case. `dense` shapes the input so that both tables fit
-/// (few distinct strings and groups, many rows, an unpadded dictionary)
-/// or so that neither does (a padded dictionary larger than the input).
+/// A grouping case. `dense` shapes the input so that subgroup's
+/// `groups × dict.len()` table fits (few distinct strings and groups, many
+/// rows, an unpadded dictionary) or does not (a padded dictionary larger
+/// than the input). `group.group` takes its `dict.len()` table either way.
 #[derive(Debug, Clone)]
 struct GroupCase {
     dense: bool,
@@ -205,11 +206,11 @@ proptest! {
         let n = rows.len();
         let d = col.as_strs().unwrap().dict().len();
         let width = case.prev.iter().max().map_or(0, |m| *m as usize + 1);
-        // The tables are dense exactly when no larger than the input.
+        // Subgroup's table is dense exactly when no larger than the input.
         if case.dense {
-            prop_assert!(d <= n && width * d <= n);
+            prop_assert!(width * d <= n);
         } else {
-            prop_assert!(d > n && (n == 0 || width * d > n));
+            prop_assert!(n == 0 || width * d > n);
         }
 
         let out = exec("group", "group", &[rb(col.clone())]);

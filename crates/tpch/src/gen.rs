@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stetho_engine::{Bat, Catalog, ColumnData, StrDictBuilder, TableDef};
+use stetho_engine::{Bat, Catalog, TableDef};
 use stetho_mal::MalType;
 
 /// Generator configuration.
@@ -336,15 +336,10 @@ fn pick(rng: &mut StdRng, n: usize, len: usize) -> Vec<u32> {
 /// An enumerated string column: row `i` holds `domain[codes[i]]`, stored
 /// as codes into one dictionary of the domain.
 fn col_enum(name: &str, domain: &[&str], codes: Vec<u32>) -> (String, MalType, Bat) {
-    let mut dict = StrDictBuilder::new();
-    for (k, s) in domain.iter().enumerate() {
-        assert_eq!(dict.intern(s) as usize, k, "domain of {name} repeats {s:?}");
-    }
-    let dict = dict.finish();
     (
         name.to_string(),
         MalType::Str,
-        Bat::new(ColumnData::Str { codes, dict }),
+        Bat::from_codes(domain, codes),
     )
 }
 
