@@ -3,19 +3,15 @@
 //! The paper's demo is itself a monitoring tool; this module lets the
 //! monitor monitor *itself*: per-round analyse latency against the
 //! 150 ms pacing budget (§4.1 "the visual updates are paced"), EDT
-//! backlog, sampling loss, live progress gauges, and a bridge that
-//! mirrors the receive path's [`TransportCounters`] into a
-//! [`stetho_obsv::Registry`] at snapshot time.
+//! backlog, sampling loss and live progress gauges. Transport counts
+//! are not here: the receive path counts them into the registry itself
+//! (`stetho_profiler::reassembly::TransportCounters`).
 //!
 //! All handles are cloned `Arc`s over atomics, so recording on the
 //! monitor's per-event path is lock-free; the only locked work happens
 //! at registration and scrape time.
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-
 use stetho_obsv::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_USEC};
-use stetho_profiler::reassembly::TransportCounters;
 
 use crate::progress::ProgressSnapshot;
 
@@ -36,8 +32,8 @@ pub struct SessionMetrics {
     pub pacing_violations: Counter,
     /// `stetho_edt_queue_depth` — color operations waiting on the EDT.
     pub edt_queue_depth: Gauge,
-    /// `stetho_samples_dropped_total` — events evicted from the sample
-    /// window (mirrors the buffer's lifetime count).
+    /// `stetho_samples_dropped_total` — events evicted from the session's
+    /// sample window, accumulated across sessions.
     pub samples_dropped: Counter,
     progress_fraction: Gauge,
     progress_done: Gauge,
@@ -110,45 +106,6 @@ impl SessionMetrics {
     }
 }
 
-/// Mirror the receive path's transport counters into `registry` as
-/// `stetho_transport_*_total` families, refreshed by a collector at
-/// every snapshot. The bridge holds only the shared atomic block, so it
-/// stays valid after the session (and its stethoscope thread) ends.
-pub fn bridge_transport(registry: &Registry, counters: Arc<TransportCounters>) {
-    let received = registry.counter(
-        "stetho_transport_received_total",
-        "Framed datagrams whose header decoded",
-    );
-    let reordered = registry.counter(
-        "stetho_transport_reordered_total",
-        "Frames that arrived after a higher sequence number",
-    );
-    let duplicated = registry.counter(
-        "stetho_transport_duplicated_total",
-        "Frames whose sequence number was already seen",
-    );
-    let lost = registry.counter(
-        "stetho_transport_lost_total",
-        "Datagrams covered by emitted Lost gaps",
-    );
-    let dropped_backpressure = registry.counter(
-        "stetho_transport_dropped_backpressure_total",
-        "Stream items evicted by the bounded ring under backpressure",
-    );
-    let garbled = registry.counter(
-        "stetho_transport_garbled_total",
-        "Lines or frames that could not be understood",
-    );
-    registry.register_collector(move || {
-        received.set(counters.received.load(Ordering::Relaxed));
-        reordered.set(counters.reordered.load(Ordering::Relaxed));
-        duplicated.set(counters.duplicated.load(Ordering::Relaxed));
-        lost.set(counters.lost.load(Ordering::Relaxed));
-        dropped_backpressure.set(counters.dropped_backpressure.load(Ordering::Relaxed));
-        garbled.set(counters.garbled.load(Ordering::Relaxed));
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,21 +143,6 @@ mod tests {
         assert_eq!(snap.gauge_value("stetho_progress_fraction"), Some(0.625));
         assert_eq!(snap.gauge_value("stetho_progress_done"), Some(4.0));
         assert_eq!(snap.gauge_value("stetho_progress_total"), Some(8.0));
-    }
-
-    #[test]
-    fn transport_bridge_tracks_live_counters() {
-        let r = Registry::new();
-        let counters = Arc::new(TransportCounters::default());
-        bridge_transport(&r, Arc::clone(&counters));
-        counters.lost.fetch_add(3, Ordering::Relaxed);
-        counters.received.fetch_add(10, Ordering::Relaxed);
-        let snap = r.snapshot();
-        assert_eq!(snap.counter_total("stetho_transport_lost_total"), 3);
-        assert_eq!(snap.counter_total("stetho_transport_received_total"), 10);
-        // Later increments show up on the next snapshot.
-        counters.lost.fetch_add(1, Ordering::Relaxed);
-        assert_eq!(r.snapshot().counter_total("stetho_transport_lost_total"), 4);
     }
 
     #[test]

@@ -254,18 +254,19 @@ impl ReplayController {
             PlayState::Playing { rate } => rate,
             PlayState::Paused => return Vec::new(),
         };
-        self.clock += dt_usec * rate;
+        let target = self.clock + dt_usec * rate;
         let mut applied = Vec::new();
-        while self.cursor < self.events.len() && (self.events[self.cursor].clk as f64) <= self.clock
+        while self
+            .events
+            .get(self.cursor)
+            .is_some_and(|e| e.clk as f64 <= target)
         {
             applied.push(self.cursor);
-            let e = self.events[self.cursor].clone();
-            apply(&mut self.nodes, &e);
-            self.cursor += 1;
-            if self.cursor.is_multiple_of(self.snapshot_every) {
-                self.snapshots.push((self.cursor, self.nodes.clone()));
-            }
+            self.step_forward();
         }
+        // `step_forward` set the clock to the last event's clk; playback
+        // keeps the advanced trace-clock target.
+        self.clock = target;
         if self.at_end() {
             self.play = PlayState::Paused;
         }

@@ -23,15 +23,6 @@ pub(super) type Query = (
     JoinHandle<Result<usize, Box<dyn Error + Send + Sync>>>,
 );
 
-/// Start `steth`'s listener, bridging its transport counters into
-/// `metrics`.
-pub(super) fn start(steth: &mut TextualStethoscope, metrics: Option<&Registry>) -> StreamReceiver {
-    if let Some(reg) = metrics {
-        crate::metrics::bridge_transport(reg, steth.counters());
-    }
-    steth.start()
-}
-
 /// Launch one query in its own thread: run `plan` profiled to `emitter`
 /// (in parallel when `workers > 1`), then mark end of trace. The emitter
 /// drops with the thread, which closes an in-memory link.

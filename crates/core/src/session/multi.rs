@@ -64,9 +64,9 @@ impl MultiServerSession {
     }
 
     /// Like [`MultiServerSession::run`], publishing self-observability
-    /// into `metrics`: the shared receiver's transport counters are
-    /// bridged in, and `stetho_multi_events_total{server=...}` counts
-    /// the demultiplexed per-server event streams.
+    /// into `metrics`: the shared receiver counts its transport counts
+    /// into it, and `stetho_multi_events_total{server=...}` counts the
+    /// demultiplexed per-server event streams.
     pub fn run_with_metrics(
         specs: Vec<ServerSpec>,
         metrics: Option<Arc<stetho_obsv::Registry>>,
@@ -78,7 +78,7 @@ impl MultiServerSession {
             plans.push(compiled.plan);
         }
         let mut steth = TextualStethoscope::bind()?;
-        let rx = intake::start(&mut steth, metrics.as_deref());
+        let rx = steth.start_with_metrics(metrics.as_deref());
         let addr = steth.local_addr()?;
 
         // Each server's event stream, keyed by the source address the
@@ -260,7 +260,7 @@ mod tests {
         assert_eq!(snap.counter_total("stetho_multi_events_total"), total);
         assert!(
             snap.counter_total("stetho_transport_received_total") > 0,
-            "transport bridge active over real UDP"
+            "receiver counts into the registry over real UDP"
         );
     }
 

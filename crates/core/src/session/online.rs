@@ -84,8 +84,9 @@ pub struct OnlineConfig {
     pub chaos: Option<ChaosConfig>,
     /// Self-observability registry. When set, the session publishes
     /// analyse latency, pacing adherence, EDT backlog, sampling loss
-    /// and progress gauges into it, bridges the receiver's transport
-    /// counters, and hands it to the engine's dataflow scheduler.
+    /// and progress gauges into it, hands it to the receiver, which
+    /// counts its transport counts into it as they happen, and to the
+    /// engine's dataflow scheduler.
     pub metrics: Option<Arc<stetho_obsv::Registry>>,
 }
 
@@ -244,6 +245,7 @@ impl Monitor<'_> {
         // the default fill when a pair completed and elided, or slid
         // out of the bounded window — so no stale RED survives.
         let round_started = Instant::now();
+        let evicted = self.window.evicted();
         let moved = self.window.push(event.pc, event.status);
         self.events.push(event);
         let now_ms = self.started.elapsed().as_millis() as u64;
@@ -268,7 +270,7 @@ impl Monitor<'_> {
                 self.cfg.pacing_ms,
             );
             m.edt_queue_depth.set(self.edt.backlog() as f64);
-            m.samples_dropped.set(self.window.evicted());
+            m.samples_dropped.inc_by(self.window.evicted() - evicted);
             m.set_progress(&self.progress.snapshot());
         }
         Ok(())
@@ -358,7 +360,7 @@ impl OnlineSession {
             }
         };
         steth.set_default_filter(cfg.filter.clone());
-        let rx = intake::start(&mut steth, cfg.metrics.as_deref());
+        let rx = steth.start_with_metrics(cfg.metrics.as_deref());
         // The server sends the dot before query execution begins.
         emitter.send_dot(&plan.name, &dot_text)?;
         let query = intake::launch(
@@ -682,6 +684,56 @@ mod tests {
         }
         std::fs::remove_file(&cfg.trace_path).ok();
         std::fs::remove_file(&cfg.dot_path).ok();
+    }
+
+    #[test]
+    fn sequential_sessions_accumulate_in_one_registry() {
+        // Two sessions share one registry: its transport and sampling
+        // totals are the sums of the sessions' own counts, and never go
+        // back to the later session's count.
+        let registry = Arc::new(stetho_obsv::Registry::new());
+        let run = |partitions: usize, seed: u64| {
+            let cfg = OnlineConfig {
+                pacing_ms: 0,
+                partitions,
+                sample_capacity: 8,
+                chaos: Some(ChaosConfig::clean(seed)),
+                metrics: Some(Arc::clone(&registry)),
+                ..Default::default()
+            };
+            let out = OnlineSession::run(
+                catalog(),
+                "select l_tax from lineitem where l_partkey = 1",
+                &cfg,
+            )
+            .unwrap();
+            std::fs::remove_file(&cfg.trace_path).ok();
+            std::fs::remove_file(&cfg.dot_path).ok();
+            out
+        };
+        let totals = || {
+            let snap = registry.snapshot();
+            (
+                snap.counter_total("stetho_transport_received_total"),
+                snap.counter_total("stetho_samples_dropped_total"),
+            )
+        };
+        let first = run(4, 1);
+        let after_first = totals();
+        let second = run(1, 2);
+        let after_second = totals();
+        assert_eq!(
+            after_second.0,
+            first.transport.received + second.transport.received
+        );
+        assert_eq!(
+            after_second.1,
+            first.samples_dropped + second.samples_dropped
+        );
+        assert!(
+            after_second.0 >= after_first.0 && after_second.1 >= after_first.1,
+            "totals went backwards: {after_first:?} -> {after_second:?}"
+        );
     }
 
     #[test]

@@ -28,15 +28,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrite the absolute value. Only for bridging an *external*
-    /// monotone source (e.g. the transport's own atomic counters) into
-    /// the registry at snapshot time — never mix with [`Counter::inc`]
-    /// on the same instrument.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -192,13 +183,9 @@ struct Family {
 /// label variants) takes a mutex and is idempotent: asking for the same
 /// name + label set returns the existing instrument, so sessions can be
 /// re-run against one long-lived registry. The returned handles update
-/// without any lock. Collectors registered with
-/// [`Registry::register_collector`] run at snapshot time to pull values
-/// from external sources (e.g. the transport's own counters).
+/// without any lock.
 pub struct Registry {
     families: Mutex<BTreeMap<String, Family>>,
-    #[allow(clippy::type_complexity)]
-    collectors: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl Default for Registry {
@@ -220,7 +207,6 @@ impl Registry {
     pub fn new() -> Self {
         Registry {
             families: Mutex::new(BTreeMap::new()),
-            collectors: Mutex::new(Vec::new()),
         }
     }
 
@@ -326,19 +312,8 @@ impl Registry {
         ins
     }
 
-    /// Register a closure that runs before every snapshot, pulling
-    /// values from an external source into pre-registered instruments
-    /// (the bridge pattern — e.g. transport counters owned by the
-    /// receive path).
-    pub fn register_collector(&self, f: impl Fn() + Send + Sync + 'static) {
-        self.collectors.lock().unwrap().push(Box::new(f));
-    }
-
-    /// Run collectors and copy out every instrument.
+    /// Copy out every instrument.
     pub fn snapshot(&self) -> Snapshot {
-        for c in self.collectors.lock().unwrap().iter() {
-            c();
-        }
         let families = self.families.lock().unwrap();
         let mut out = Vec::with_capacity(families.len());
         for (name, family) in families.iter() {
@@ -642,20 +617,6 @@ mod tests {
         assert!(text.contains("s_usec_sum 10"), "{text}");
         assert!(text.contains("s_usec_count 1"), "{text}");
         assert!(text.contains("s_fraction 0.5"), "{text}");
-    }
-
-    #[test]
-    fn collectors_run_at_snapshot_time() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let r = Registry::new();
-        let external = Arc::new(AtomicU64::new(0));
-        let bridged = r.counter("ext_total", "bridged");
-        let src = Arc::clone(&external);
-        r.register_collector(move || bridged.set(src.load(Ordering::Relaxed)));
-        external.store(42, Ordering::Relaxed);
-        assert_eq!(r.snapshot().counter_total("ext_total"), 42);
-        external.store(43, Ordering::Relaxed);
-        assert_eq!(r.snapshot().counter_total("ext_total"), 43);
     }
 
     #[test]

@@ -32,6 +32,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::Serialize;
+use stetho_obsv::{Counter, Registry};
 
 use crate::filter::FilterOptions;
 use crate::format::parse_event;
@@ -46,41 +47,95 @@ pub const DEFAULT_REORDER_WINDOW: usize = 64;
 // Transport statistics
 // ---------------------------------------------------------------------
 
-/// Shared live counters updated by the receive path.
-#[derive(Debug, Default)]
-pub struct TransportCounters {
+/// One of the receive path's transport counts.
+#[derive(Clone, Copy)]
+pub(crate) enum Count {
     /// Framed datagrams whose header decoded (includes duplicates and
     /// heartbeats).
-    pub received: AtomicU64,
+    Received,
     /// Frames that arrived after a higher sequence number.
-    pub reordered: AtomicU64,
+    Reordered,
     /// Frames whose sequence number was already consumed or buffered.
-    pub duplicated: AtomicU64,
+    Duplicated,
     /// Datagrams covered by emitted `Lost` gaps.
-    pub lost: AtomicU64,
+    Lost,
     /// Stream items evicted by the bounded ring between the socket
     /// thread and the consumer.
-    pub dropped_backpressure: AtomicU64,
+    DroppedBackpressure,
     /// Lines/frames that could not be understood (legacy garbage,
     /// corrupt frames, unparseable event payloads).
-    pub garbled: AtomicU64,
+    Garbled,
+}
+
+/// The registry family (name, help) each [`Count`] feeds, in `Count`
+/// order.
+const FAMILIES: [(&str, &str); 6] = [
+    (
+        "stetho_transport_received_total",
+        "Framed datagrams whose header decoded",
+    ),
+    (
+        "stetho_transport_reordered_total",
+        "Frames that arrived after a higher sequence number",
+    ),
+    (
+        "stetho_transport_duplicated_total",
+        "Frames whose sequence number was already seen",
+    ),
+    (
+        "stetho_transport_lost_total",
+        "Datagrams covered by emitted Lost gaps",
+    ),
+    (
+        "stetho_transport_dropped_backpressure_total",
+        "Stream items evicted by the bounded ring under backpressure",
+    ),
+    (
+        "stetho_transport_garbled_total",
+        "Lines or frames that could not be understood",
+    ),
+];
+
+/// Live counters updated by the receive path: one session's own
+/// counts and, when a registry is attached, that registry's
+/// `stetho_transport_*_total` counters, incremented at the same place.
+#[derive(Debug, Default)]
+pub struct TransportCounters {
+    /// This session's counts, indexed by [`Count`].
+    counts: [AtomicU64; 6],
+    /// The registry's counters, indexed by [`Count`].
+    registry: Option<[Counter; 6]>,
 }
 
 impl TransportCounters {
-    /// Read a consistent-enough snapshot of all counters.
-    pub fn snapshot(&self) -> TransportStats {
-        TransportStats {
-            received: self.received.load(Ordering::Relaxed),
-            reordered: self.reordered.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            lost: self.lost.load(Ordering::Relaxed),
-            dropped_backpressure: self.dropped_backpressure.load(Ordering::Relaxed),
-            garbled: self.garbled.load(Ordering::Relaxed),
+    /// Counters that also count into `registry`. Its six families are
+    /// registered here, so a scrape shows them even while they are
+    /// zero; sequential sessions keep accumulating in them.
+    pub(crate) fn new(registry: Option<&Registry>) -> Self {
+        TransportCounters {
+            counts: Default::default(),
+            registry: registry.map(|r| FAMILIES.map(|(name, help)| r.counter(name, help))),
         }
     }
 
-    fn add(&self, which: &AtomicU64, n: u64) {
-        which.fetch_add(n, Ordering::Relaxed);
+    /// Read a consistent-enough snapshot of this session's counts.
+    pub fn snapshot(&self) -> TransportStats {
+        let get = |c: Count| self.counts[c as usize].load(Ordering::Relaxed);
+        TransportStats {
+            received: get(Count::Received),
+            reordered: get(Count::Reordered),
+            duplicated: get(Count::Duplicated),
+            lost: get(Count::Lost),
+            dropped_backpressure: get(Count::DroppedBackpressure),
+            garbled: get(Count::Garbled),
+        }
+    }
+
+    pub(crate) fn add(&self, c: Count, n: u64) {
+        self.counts[c as usize].fetch_add(n, Ordering::Relaxed);
+        if let Some(registry) = &self.registry {
+            registry[c as usize].inc_by(n);
+        }
     }
 }
 
@@ -320,11 +375,11 @@ impl StreamDecoder {
                 }
             }
             DecodedDatagram::Frame(frame) => {
-                self.counters.add(&self.counters.received, 1);
+                self.counters.add(Count::Received, 1);
                 self.push_slot(source, frame.seq, Slot::Body(frame.body), out);
             }
             DecodedDatagram::GarbledFrame { seq, line } => {
-                self.counters.add(&self.counters.received, 1);
+                self.counters.add(Count::Received, 1);
                 self.push_slot(source, seq, Slot::Garbled(line), out);
             }
         }
@@ -372,15 +427,15 @@ impl StreamDecoder {
     }
 
     /// Mirror the per-source reassembler counters into the shared
-    /// atomics, once per delta.
+    /// counters, once per delta.
     fn sync_counters(&mut self, source: SocketAddr) {
         let st = self.sources.get_mut(&source).expect("known source");
         let (r, d, l) = (st.reasm.reordered, st.reasm.duplicated, st.reasm.lost);
         self.counters
-            .add(&self.counters.reordered, r - st.reordered_flushed);
+            .add(Count::Reordered, r - st.reordered_flushed);
         self.counters
-            .add(&self.counters.duplicated, d - st.duplicated_flushed);
-        self.counters.add(&self.counters.lost, l - st.lost_flushed);
+            .add(Count::Duplicated, d - st.duplicated_flushed);
+        self.counters.add(Count::Lost, l - st.lost_flushed);
         st.reordered_flushed = r;
         st.duplicated_flushed = d;
         st.lost_flushed = l;
@@ -395,7 +450,7 @@ impl StreamDecoder {
             }),
             ReassemblyOut::Item { item, .. } => match item {
                 Slot::Garbled(line) => {
-                    self.counters.add(&self.counters.garbled, 1);
+                    self.counters.add(Count::Garbled, 1);
                     Some(StreamItem::Garbled { source, line })
                 }
                 Slot::Body(body) => self.body_to_item(source, body),
@@ -417,7 +472,7 @@ impl StreamDecoder {
                     .accepts(source, &event)
                     .then_some(StreamItem::Event { source, event }),
                 Err(_) => {
-                    self.counters.add(&self.counters.garbled, 1);
+                    self.counters.add(Count::Garbled, 1);
                     Some(StreamItem::Garbled { source, line })
                 }
             },
@@ -455,7 +510,7 @@ impl StreamDecoder {
             if name.is_empty() {
                 // Regression: a bare `%dot-begin` used to open an
                 // unnamed capture; reject it as garbled instead.
-                self.counters.add(&self.counters.garbled, 1);
+                self.counters.add(Count::Garbled, 1);
                 return Some(StreamItem::Garbled {
                     source,
                     line: trimmed.to_string(),
@@ -485,7 +540,7 @@ impl StreamDecoder {
                 .accepts(source, &event)
                 .then_some(StreamItem::Event { source, event }),
             Err(_) => {
-                self.counters.add(&self.counters.garbled, 1);
+                self.counters.add(Count::Garbled, 1);
                 Some(StreamItem::Garbled {
                     source,
                     line: trimmed.to_string(),

@@ -74,8 +74,7 @@ impl SampleBuffer {
     }
 
     /// Events evicted over the buffer's whole lifetime; unlike
-    /// [`SampleBuffer::dropped`], this survives clears (feeding the
-    /// `stetho_samples_dropped_total` metric).
+    /// [`SampleBuffer::dropped`], this survives clears.
     pub fn lifetime_dropped(&self) -> u64 {
         self.lifetime_dropped
     }

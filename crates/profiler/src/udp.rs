@@ -39,12 +39,15 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use stetho_obsv::Registry;
 
 use crate::chaos::{ChaosEndpoint, ChaosLink, ChaosReceiver, ChaosRecvError};
 use crate::event::TraceEvent;
 use crate::filter::FilterOptions;
 use crate::format::format_event;
-use crate::reassembly::{StreamDecoder, TransportCounters, TransportStats, DEFAULT_REORDER_WINDOW};
+use crate::reassembly::{
+    Count, StreamDecoder, TransportCounters, TransportStats, DEFAULT_REORDER_WINDOW,
+};
 use crate::wire::{encode_frame, Frame, FrameBody};
 
 /// One item of the merged multi-server stream, tagged with its source.
@@ -118,20 +121,6 @@ const RECONNECT_ATTEMPTS: u32 = 3;
 /// First backoff step; doubles per attempt (1ms, 2ms, 4ms).
 const RECONNECT_BASE_DELAY: Duration = Duration::from_millis(1);
 
-/// Emitter-side transport counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EmitterStats {
-    /// Frames successfully handed to the transport.
-    pub frames_sent: u64,
-    /// Heartbeat frames among them.
-    pub heartbeats: u64,
-    /// Frames whose send failed even after reconnecting (their sequence
-    /// numbers surface as `Lost` gaps on the receiver).
-    pub send_errors: u64,
-    /// Socket rebinds performed.
-    pub reconnects: u64,
-}
-
 #[derive(Debug)]
 enum EmitterLink {
     Udp {
@@ -154,10 +143,6 @@ pub struct ProfilerEmitter {
     tx: Mutex<()>,
     seq: AtomicU64,
     data_frames: AtomicU64,
-    frames_sent: AtomicU64,
-    heartbeats: AtomicU64,
-    send_errors: AtomicU64,
-    reconnects: AtomicU64,
 }
 
 impl ProfilerEmitter {
@@ -190,10 +175,6 @@ impl ProfilerEmitter {
             tx: Mutex::new(()),
             seq: AtomicU64::new(0),
             data_frames: AtomicU64::new(0),
-            frames_sent: AtomicU64::new(0),
-            heartbeats: AtomicU64::new(0),
-            send_errors: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
         }
     }
 
@@ -203,16 +184,6 @@ impl ProfilerEmitter {
         match &self.link {
             EmitterLink::Udp { local, .. } => Ok(*local),
             EmitterLink::Mem(ep) => Ok(ep.local_addr()),
-        }
-    }
-
-    /// Emitter-side counters.
-    pub fn stats(&self) -> EmitterStats {
-        EmitterStats {
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            heartbeats: self.heartbeats.load(Ordering::Relaxed),
-            send_errors: self.send_errors.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
         }
     }
 
@@ -251,7 +222,6 @@ impl ProfilerEmitter {
 
     /// Send a liveness heartbeat now.
     pub fn send_heartbeat(&self) {
-        self.heartbeats.fetch_add(1, Ordering::Relaxed);
         self.send_body(FrameBody::Heartbeat);
     }
 
@@ -271,45 +241,34 @@ impl ProfilerEmitter {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let wire = encode_frame(&Frame { seq, body });
         match &self.link {
-            EmitterLink::Mem(ep) => {
-                ep.send(wire.as_bytes());
-                self.frames_sent.fetch_add(1, Ordering::Relaxed);
-            }
+            EmitterLink::Mem(ep) => ep.send(wire.as_bytes()),
             EmitterLink::Udp {
                 socket,
                 peer,
                 local,
             } => {
-                let sock = socket.lock();
-                if sock.send(wire.as_bytes()).is_ok() {
-                    drop(sock);
-                    self.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                drop(sock);
-                if self.reconnect_and_resend(socket, *peer, *local, wire.as_bytes()) {
-                    self.frames_sent.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.send_errors.fetch_add(1, Ordering::Relaxed);
+                let sent = socket.lock().send(wire.as_bytes()).is_ok();
+                if !sent {
+                    self.reconnect_and_resend(socket, *peer, *local, wire.as_bytes());
                 }
             }
         }
     }
 
     /// Exponential-backoff reconnect, rebinding the *same* local port so
-    /// the receiver keeps attributing our frames to one source.
+    /// the receiver keeps attributing our frames to one source. When
+    /// every attempt fails the frame is dropped.
     fn reconnect_and_resend(
         &self,
         socket: &Mutex<UdpSocket>,
         peer: SocketAddr,
         local: SocketAddr,
         bytes: &[u8],
-    ) -> bool {
+    ) {
         let mut delay = RECONNECT_BASE_DELAY;
         for _ in 0..RECONNECT_ATTEMPTS {
             std::thread::sleep(delay);
             delay *= 2;
-            self.reconnects.fetch_add(1, Ordering::Relaxed);
             let Ok(fresh) = UdpSocket::bind(local) else {
                 continue;
             };
@@ -319,10 +278,9 @@ impl ProfilerEmitter {
             let ok = fresh.send(bytes).is_ok();
             *socket.lock() = fresh;
             if ok {
-                return true;
+                return;
             }
         }
-        false
     }
 }
 
@@ -512,15 +470,19 @@ impl TextualStethoscope {
         self.counters.snapshot()
     }
 
-    /// Shared handle on the live transport counters, for bridging them
-    /// into an external metrics registry at snapshot time.
-    pub fn counters(&self) -> Arc<TransportCounters> {
-        Arc::clone(&self.counters)
-    }
-
     /// Start the listening thread; returns the stream of items. Call at
     /// most once.
     pub fn start(&mut self) -> StreamReceiver {
+        self.start_with_metrics(None)
+    }
+
+    /// Like [`TextualStethoscope::start`]; with a registry, every
+    /// transport count is also counted into its
+    /// `stetho_transport_*_total` counters where it happens.
+    pub fn start_with_metrics(&mut self, metrics: Option<&Registry>) -> StreamReceiver {
+        // Nothing is counted before the listener starts, so replacing
+        // the counters loses no count.
+        self.counters = Arc::new(TransportCounters::new(metrics));
         let ring = Ring::new(DEFAULT_RING_CAPACITY);
         self.running.store(true, Ordering::SeqCst);
         let running = Arc::clone(&self.running);
@@ -581,9 +543,7 @@ fn forward(ring: &Ring, counters: &TransportCounters, items: Vec<StreamItem>) {
     for item in items {
         let evicted = ring.push(item);
         if evicted > 0 {
-            counters
-                .dropped_backpressure
-                .fetch_add(evicted, Ordering::Relaxed);
+            counters.add(Count::DroppedBackpressure, evicted);
         }
     }
 }

@@ -85,6 +85,7 @@ fn main() {
         out.edt_stats.enqueued, out.edt_stats.dispatched, out.edt_stats.max_queue
     );
     println!("samples dropped: {}", out.samples_dropped);
+    println!("{}", out.transport);
     println!(
         "progress       : {}/{} instructions done ({} levels deep)",
         out.progress.done, out.progress.total, out.progress.depth_levels
